@@ -1,14 +1,12 @@
-// Loopback scale-out benchmark for the real UDP transport (google
-// benchmark): the {fanout, kernel-multicast} TX axis, the {1, N}-socket
-// SO_REUSEPORT RX axis, and the {poll, io_uring} backend axis, measured
-// as aggregate delivered msg/s (items_per_second) and per-message wall
-// ns (real_time / kBurst).
+// Loopback benchmark for the real UDP transport (google benchmark): one
+// sender broadcasting by unicast fan-out vs kernel multicast, and four
+// senders converging on one receiver's socket, measured as aggregate
+// delivered msg/s (items_per_second) and per-burst wall time (real_time
+// covers kBurst messages).
 //
 // Everything runs against live sockets on 127.0.0.1 — this measures the
-// device layer the paper tables sit on, not the simulator. On a
-// single-vCPU box the multi-socket numbers show the overhead floor of
-// the extra threads rather than parallel speedup; see docs/PERF.md for
-// how to read them.
+// device layer the paper tables sit on, not the simulator; see
+// docs/PERF.md for how to read the numbers.
 //
 // By default results are also written to BENCH_udp.json (JSON format) so
 // ci/check_bench_regression.py can diff runs; --benchmark_out= overrides.
@@ -27,7 +25,6 @@
 namespace {
 
 using namespace amoeba;
-using transport::UdpBackend;
 using transport::UdpOptions;
 using transport::UdpRuntime;
 
@@ -76,21 +73,15 @@ bool await(const std::atomic<std::uint64_t>& ctr, std::uint64_t target) {
 }
 
 // ---------------------------------------------------------------------------
-// TX axis: one sender broadcasting to 4 receivers — unicast fan-out
-// (4 datagrams per message) vs one kernel-multicast datagram.
+// TX: one sender broadcasting to 4 receivers — unicast fan-out (4
+// datagrams per message) vs one kernel-multicast datagram.
 // ---------------------------------------------------------------------------
 
-void broadcast_bench(benchmark::State& state, bool kmcast,
-                     UdpBackend backend) {
-  if (backend == UdpBackend::io_uring && !UdpRuntime::io_uring_available()) {
-    state.SkipWithError("io_uring unavailable on this kernel");
-    return;
-  }
+void broadcast_bench(benchmark::State& state, bool kmcast) {
   constexpr std::size_t kReceivers = 4;
   std::vector<std::unique_ptr<Node>> nodes;
   UdpOptions o;
   o.kernel_multicast = kmcast;
-  o.backend = backend;
   nodes.push_back(std::make_unique<Node>(o));  // sender, owns mcast port
   if (kmcast) {
     if (!nodes[0]->rt.kernel_multicast_active()) {
@@ -126,13 +117,10 @@ void broadcast_bench(benchmark::State& state, bool kmcast,
 }
 
 void BM_UdpBroadcastFanout(benchmark::State& s) {
-  broadcast_bench(s, /*kmcast=*/false, UdpBackend::poll);
+  broadcast_bench(s, /*kmcast=*/false);
 }
 void BM_UdpBroadcastKmcast(benchmark::State& s) {
-  broadcast_bench(s, /*kmcast=*/true, UdpBackend::poll);
-}
-void BM_UdpBroadcastKmcastUring(benchmark::State& s) {
-  broadcast_bench(s, /*kmcast=*/true, UdpBackend::io_uring);
+  broadcast_bench(s, /*kmcast=*/true);
 }
 BENCHMARK(BM_UdpBroadcastFanout)
     ->Unit(benchmark::kMicrosecond)
@@ -140,27 +128,15 @@ BENCHMARK(BM_UdpBroadcastFanout)
 BENCHMARK(BM_UdpBroadcastKmcast)
     ->Unit(benchmark::kMicrosecond)
     ->UseRealTime();
-BENCHMARK(BM_UdpBroadcastKmcastUring)
-    ->Unit(benchmark::kMicrosecond)
-    ->UseRealTime();
 
 // ---------------------------------------------------------------------------
-// RX axis: 4 senders blasting one receiver — single socket vs
-// SO_REUSEPORT shards vs the io_uring multishot path.
+// RX: 4 senders blasting one receiver's socket.
 // ---------------------------------------------------------------------------
 
-void rx_bench(benchmark::State& state, unsigned rx_shards,
-              UdpBackend backend) {
-  if (backend == UdpBackend::io_uring && !UdpRuntime::io_uring_available()) {
-    state.SkipWithError("io_uring unavailable on this kernel");
-    return;
-  }
+void BM_UdpRxSingleSocket(benchmark::State& state) {
   constexpr std::size_t kSenders = 4;
   std::vector<std::unique_ptr<Node>> nodes;
-  UdpOptions ro;
-  ro.rx_shards = rx_shards;
-  ro.backend = backend;
-  nodes.push_back(std::make_unique<Node>(ro));  // receiver = station 0
+  nodes.push_back(std::make_unique<Node>(UdpOptions{}));  // receiver = 0
   for (std::size_t i = 0; i < kSenders; ++i) {
     nodes.push_back(std::make_unique<Node>(UdpOptions{}));
   }
@@ -186,27 +162,9 @@ void rx_bench(benchmark::State& state, unsigned rx_shards,
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(sent));
   if (lost) state.SkipWithError("datagrams lost on loopback");
-  state.counters["rx_ring_drops"] = static_cast<double>(
-      receiver.rt.io_stats().rx_ring_drops.load());
   for (auto& n : nodes) n->rt.stop();
 }
-
-void BM_UdpRxSingleSocket(benchmark::State& s) {
-  rx_bench(s, /*rx_shards=*/1, UdpBackend::poll);
-}
-void BM_UdpRxSharded4(benchmark::State& s) {
-  rx_bench(s, /*rx_shards=*/4, UdpBackend::poll);
-}
-void BM_UdpRxUring(benchmark::State& s) {
-  rx_bench(s, /*rx_shards=*/1, UdpBackend::io_uring);
-}
 BENCHMARK(BM_UdpRxSingleSocket)
-    ->Unit(benchmark::kMicrosecond)
-    ->UseRealTime();
-BENCHMARK(BM_UdpRxSharded4)
-    ->Unit(benchmark::kMicrosecond)
-    ->UseRealTime();
-BENCHMARK(BM_UdpRxUring)
     ->Unit(benchmark::kMicrosecond)
     ->UseRealTime();
 

@@ -13,14 +13,15 @@
 //     AMOEBA_TRACE=OFF): the AMOEBA_TRACE macro discards its arguments
 //     unevaluated, so call sites add zero instructions;
 //   - compiled in but unattached (no ring): one null-pointer branch;
-//   - attached: one bounds check plus a ~48-byte store, no locks.
+//   - attached: one SpscRing push (a fullness check plus a ~48-byte
+//     store), no locks.
 //
-// Threading: TraceRing is a single-producer / single-consumer ring. The
-// producer is the member's executor context (the simulation loop or the
-// UDP runtime's loop thread); the consumer is whoever drains (the harness
-// or a test thread). head/tail use acquire/release atomics, so live
-// draining from another thread is race-free; when full the ring drops the
-// newest event and counts it, never blocking the protocol.
+// Threading: TraceRing is an `SpscRing<TraceEvent>` (common/spsc_ring.hpp)
+// plus a drop counter. The producer is the member's executor context (the
+// simulation loop or the UDP runtime's loop thread); the consumer is
+// whoever drains (the harness or a test thread), so live draining from
+// another thread is race-free. When full the ring drops the newest event
+// and counts it, never blocking the protocol.
 #pragma once
 
 #include <atomic>
@@ -30,6 +31,7 @@
 
 #include "common/buffer.hpp"
 #include "common/seqnum.hpp"
+#include "common/spsc_ring.hpp"
 #include "common/types.hpp"
 #include "group/types.hpp"
 
@@ -102,52 +104,34 @@ inline std::uint64_t fingerprint(const BufView& b) noexcept {
 class TraceRing {
  public:
   /// `capacity` is rounded up to a power of two (default 16Ki events).
-  explicit TraceRing(std::size_t capacity = 1u << 14) {
-    std::size_t cap = 1;
-    while (cap < capacity) cap <<= 1;
-    slots_.resize(cap);
-    mask_ = cap - 1;
-  }
-  TraceRing(const TraceRing&) = delete;
-  TraceRing& operator=(const TraceRing&) = delete;
+  explicit TraceRing(std::size_t capacity = 1u << 14) : ring_(capacity) {}
 
   /// Producer side. Drops (and counts) the event when the consumer lags a
   /// full ring behind.
-  void emit(const TraceEvent& e) noexcept {
-    const std::uint64_t head = head_.load(std::memory_order_relaxed);
-    const std::uint64_t tail = tail_.load(std::memory_order_acquire);
-    if (head - tail > mask_) {
+  void emit(TraceEvent e) noexcept {
+    if (!ring_.try_push(std::move(e))) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
-      return;
     }
-    slots_[head & mask_] = e;
-    head_.store(head + 1, std::memory_order_release);
   }
 
   /// Consumer side: append every pending event to `out`, return the count.
+  /// Plain push_back keeps `out`'s growth geometric across many small
+  /// drains (the harnesses drain after every engine step).
   std::size_t drain(std::vector<TraceEvent>& out) {
-    const std::uint64_t head = head_.load(std::memory_order_acquire);
-    std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    const std::size_t n = static_cast<std::size_t>(head - tail);
-    out.reserve(out.size() + n);
-    while (tail != head) {
-      out.push_back(slots_[tail & mask_]);
-      ++tail;
+    std::size_t n = 0;
+    while (auto e = ring_.try_pop()) {
+      out.push_back(*e);
+      ++n;
     }
-    tail_.store(tail, std::memory_order_release);
     return n;
   }
 
   std::uint64_t dropped() const noexcept {
     return dropped_.load(std::memory_order_relaxed);
   }
-  std::size_t capacity() const noexcept { return slots_.size(); }
 
  private:
-  std::vector<TraceEvent> slots_;
-  std::size_t mask_{0};
-  std::atomic<std::uint64_t> head_{0};
-  std::atomic<std::uint64_t> tail_{0};
+  SpscRing<TraceEvent> ring_;
   std::atomic<std::uint64_t> dropped_{0};
 };
 

@@ -1,13 +1,12 @@
 // Bounded lock-free single-producer / single-consumer ring.
 //
-// The delivery spine of the multi-socket UDP receive path: each RX thread
-// (producer) drains its socket and pushes frame descriptors here; the
-// protocol core (consumer) pops them and dispatches under its own lock.
-// The same monotonic-counter idiom as `check::TraceRing`, generalized to
-// move-only payloads (a `BufView` rides in each slot) and to a *drop-full*
-// rather than drop-newest-event policy: `try_push` on a full ring refuses,
-// and the caller counts the drop — exactly the observable-overflow
-// discipline the simulated Lance receive ring follows.
+// The repo's one SPSC ring. Protocol event tracing is built on it:
+// `check::TraceRing` is an `SpscRing<TraceEvent>` whose producer is a
+// member's executor context and whose consumer is the harness or test
+// draining the trace, possibly from another thread. Payloads may be
+// move-only. The policy is *drop-full*: `try_push` on a full ring refuses
+// and leaves the value untouched, and the caller counts the drop, so
+// overflow is observable and never blocks the producer.
 //
 // Memory ordering: the producer publishes a slot with a release store of
 // `head_`; the consumer acquires it before reading the slot, and releases

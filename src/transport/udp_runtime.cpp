@@ -22,7 +22,6 @@
 #include <stdexcept>
 
 #include "common/logging.hpp"
-#include "transport/uring_engine.hpp"
 
 namespace amoeba::transport {
 
@@ -67,19 +66,10 @@ void set_nonblock(int fd) { ::fcntl(fd, F_SETFL, O_NONBLOCK); }
 
 Status UdpOptions::normalize() {
   if (max_payload < 128 || max_payload > kUdpHardMax) return Status::bad_config;
-  if (tx_queue_hwm == 0 || rx_ring_capacity == 0 || rx_shards == 0) {
-    return Status::bad_config;
-  }
-  if (backend == UdpBackend::io_uring && rx_shards > 1) {
-    // Each scale-out layer is switched (and benchmarked) on its own axis;
-    // the uring engine drives exactly one socket.
-    return Status::bad_config;
-  }
+  if (tx_queue_hwm == 0) return Status::bad_config;
   if (kernel_multicast && mcast_ifaddr.empty()) return Status::bad_config;
-  // Over-small bounds clamp to sane floors instead of failing.
+  // An over-small bound clamps to a sane floor instead of failing.
   tx_queue_hwm = std::max<std::size_t>(tx_queue_hwm, 64);
-  rx_ring_capacity = std::max<std::size_t>(rx_ring_capacity, 64);
-  rx_shards = std::min(rx_shards, 16u);
   return Status::ok;
 }
 
@@ -102,10 +92,7 @@ void UdpRuntime::init(const UdpOptions& options) {
   rx_slot_bytes_ = std::max<std::size_t>(2048, opts_.max_payload + 256);
 
   auto fail = [this](const std::string& what) {
-    for (int fd : shard_fds_) {
-      if (fd >= 0) ::close(fd);
-    }
-    shard_fds_.clear();
+    if (fd_ >= 0) ::close(fd_);
     fd_ = -1;
     if (mcast_fd_ >= 0) ::close(mcast_fd_);
     if (wake_rd_ >= 0) ::close(wake_rd_);
@@ -113,33 +100,18 @@ void UdpRuntime::init(const UdpOptions& options) {
     throw std::runtime_error("UdpRuntime: " + what);
   };
 
-  // Shard sockets all bind the same loopback port; shard_fds_[0] is also
-  // the TX socket. SO_REUSEPORT must be set before bind on every one.
-  shard_fds_.assign(opts_.rx_shards, -1);
-  for (unsigned i = 0; i < opts_.rx_shards; ++i) {
-    const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-    if (fd < 0) fail("socket() failed");
-    shard_fds_[i] = fd;
-    if (opts_.rx_shards > 1) {
-      const int one = 1;
-      if (::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
-        fail("SO_REUSEPORT unsupported (rx_shards > 1 needs it)");
-      }
-    }
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(i == 0 ? opts_.port : local_port_);
-    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-      fail("bind() failed");
-    }
-    if (i == 0) {
-      socklen_t len = sizeof(addr);
-      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-      local_port_ = ntohs(addr.sin_port);
-      fd_ = fd;
-    }
+  fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
+  if (fd_ < 0) fail("socket() failed");
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(opts_.port);
+  if (::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    fail("bind() failed");
   }
+  socklen_t len = sizeof(addr);
+  ::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len);
+  local_port_ = ntohs(addr.sin_port);
 
   // Validate max_payload against the bound interface's MTU (we bind
   // loopback, whose MTU is typically 65536). If the query fails, the
@@ -150,8 +122,7 @@ void UdpRuntime::init(const UdpOptions& options) {
     if (::ioctl(fd_, SIOCGIFMTU, &ifr) == 0 &&
         opts_.max_payload + kIpUdpOverhead >
             static_cast<std::size_t>(ifr.ifr_mtu)) {
-      for (int fd : shard_fds_) ::close(fd);
-      shard_fds_.clear();
+      ::close(fd_);
       fd_ = -1;
       throw std::invalid_argument(
           "UdpRuntime: max_payload + IP/UDP overhead exceeds the interface "
@@ -174,26 +145,6 @@ void UdpRuntime::init(const UdpOptions& options) {
   }
 
   if (opts_.kernel_multicast) setup_multicast();
-
-  backend_ = UdpBackend::poll;
-  if (opts_.backend == UdpBackend::io_uring) {
-    std::string err;
-    uring_ = UringEngine::create(fd_, mcast_active_ ? mcast_fd_ : -1,
-                                 rx_slot_bytes_, &err);
-    if (uring_ != nullptr) {
-      backend_ = UdpBackend::io_uring;
-    } else {
-      log_warn("udp", "io_uring backend unavailable (%s); using poll",
-               err.c_str());
-    }
-  }
-
-  if (opts_.rx_shards > 1) {
-    for (unsigned i = 0; i < opts_.rx_shards; ++i) {
-      rx_rings_.push_back(
-          std::make_unique<SpscRing<RxFrame>>(opts_.rx_ring_capacity));
-    }
-  }
 }
 
 void UdpRuntime::setup_multicast() {
@@ -269,17 +220,10 @@ void UdpRuntime::setup_multicast() {
 
 UdpRuntime::~UdpRuntime() {
   stop();
-  uring_.reset();  // unmaps rings before the sockets close
-  for (int fd : shard_fds_) {
-    if (fd >= 0) ::close(fd);
-  }
+  if (fd_ >= 0) ::close(fd_);
   if (mcast_fd_ >= 0) ::close(mcast_fd_);
   if (wake_rd_ >= 0) ::close(wake_rd_);
   if (wake_wr_ >= 0 && wake_wr_ != wake_rd_) ::close(wake_wr_);
-}
-
-bool UdpRuntime::io_uring_available() {
-  return UringEngine::runtime_supported();
 }
 
 void UdpRuntime::set_station_table(
@@ -309,21 +253,12 @@ void UdpRuntime::set_station_table(
 void UdpRuntime::start() {
   if (running_.exchange(true)) return;
   loop_thread_ = std::thread([this] { loop(); });
-  if (opts_.rx_shards > 1) {
-    for (unsigned i = 0; i < opts_.rx_shards; ++i) {
-      rx_threads_.emplace_back([this, i] { rx_shard_loop(i); });
-    }
-  }
 }
 
 void UdpRuntime::stop() {
   if (!running_.exchange(false)) return;
   wake();
   if (loop_thread_.joinable()) loop_thread_.join();
-  for (auto& t : rx_threads_) {
-    if (t.joinable()) t.join();
-  }
-  rx_threads_.clear();
 }
 
 void UdpRuntime::wake() {
@@ -416,22 +351,6 @@ void UdpRuntime::enqueue_tx(Endpoint to, BufView payload, bool mcast) {
 }
 
 void UdpRuntime::flush_tx(std::vector<PendingTx>& batch) {
-  if (batch.empty()) return;
-  if (backend_ == UdpBackend::io_uring && uring_ != nullptr) {
-    std::vector<UringEngine::TxFrame> frames;
-    frames.reserve(batch.size());
-    for (auto& tx : batch) {
-      frames.push_back(UringEngine::TxFrame{tx.to.ip_be, tx.to.port_be,
-                                            std::move(tx.payload), tx.mcast});
-    }
-    uring_->submit_tx(frames, io_stats_);
-    batch.clear();
-    return;
-  }
-  flush_tx_mmsg(batch);
-}
-
-void UdpRuntime::flush_tx_mmsg(std::vector<PendingTx>& batch) {
   std::array<mmsghdr, kIoBatch> msgs;
   std::array<iovec, kIoBatch> iovs;
   std::array<sockaddr_in, kIoBatch> addrs;
@@ -604,27 +523,9 @@ void UdpRuntime::set_receive_handler(
   rx_ = std::move(fn);
 }
 
-bool UdpRuntime::classify_source(std::uint32_t ip_be, std::uint16_t port_be,
-                                 StationId* src) {
-  const auto it = by_addr_.find({ip_be, port_be});
-  if (it == by_addr_.end()) {
-    io_stats_.rx_unknown_peer.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  if (it->second == self_) {
-    // Our own looped-back multicast (unicast-to-self short-circuits and
-    // never reaches a socket).
-    io_stats_.rx_self_dropped.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  *src = it->second;
-  return true;
-}
-
-template <typename Sink>
-void UdpRuntime::drain_socket_mmsg(int fd, bool is_mcast,
-                                   std::vector<SharedBuffer>& slots,
-                                   const Sink& sink) {
+void UdpRuntime::drain_socket(int fd, bool is_mcast,
+                              std::vector<SharedBuffer>& slots,
+                              std::vector<std::pair<StationId, BufView>>& out) {
   std::array<mmsghdr, kIoBatch> msgs;
   std::array<iovec, kIoBatch> iovs;
   std::array<sockaddr_in, kIoBatch> froms;
@@ -658,92 +559,37 @@ void UdpRuntime::drain_socket_mmsg(int fd, bool is_mcast,
         io_stats_.rx_truncated.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
-      StationId src = kBroadcastStation;
-      if (!classify_source(froms[i].sin_addr.s_addr, froms[i].sin_port,
-                           &src)) {
+      const auto it =
+          by_addr_.find({froms[i].sin_addr.s_addr, froms[i].sin_port});
+      if (it == by_addr_.end()) {
+        io_stats_.rx_unknown_peer.fetch_add(1, std::memory_order_relaxed);
+        continue;
+      }
+      if (it->second == self_) {
+        // Our own looped-back multicast (unicast-to-self short-circuits and
+        // never reaches a socket).
+        io_stats_.rx_self_dropped.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
       SharedBuffer slot = std::move(slots[i]);
       slot.resize(msgs[i].msg_len);
       slots[i] = SharedBuffer::allocate(rx_slot_bytes_);
-      sink(src, BufView(std::move(slot)));
+      out.emplace_back(it->second, BufView(std::move(slot)));
     }
     if (static_cast<unsigned>(got) < kIoBatch) break;
   }
 }
 
-bool UdpRuntime::drain_rx_rings() {
-  // Single consumer: only the loop thread pops. Collect the frames first,
-  // then dispatch the whole harvest under ONE mu_ acquisition.
-  std::vector<RxFrame> frames;
-  for (auto& ring : rx_rings_) {
-    while (auto f = ring->try_pop()) frames.push_back(std::move(*f));
-  }
-  if (frames.empty()) return false;
-  std::unique_lock lock(mu_);
-  if (rx_) {
-    for (auto& f : frames) rx_(f.src, std::move(f.payload));
-  }
-  return true;
-}
-
-void UdpRuntime::rx_shard_loop(unsigned shard) {
-  // Producer side of rx_rings_[shard]: drain our socket (plus the mcast
-  // socket, on shard 0) and push frames. Touches NO protocol state and
-  // never takes mu_.
+void UdpRuntime::loop() {
+  // Receive slots: pooled buffers refilled as datagrams are consumed. The
+  // handler keeps a view of the datagram; the slot's backing returns to
+  // the pool when the last view drops.
   std::vector<SharedBuffer> slots(kIoBatch);
   for (auto& s : slots) s = SharedBuffer::allocate(rx_slot_bytes_);
   std::vector<SharedBuffer> mcast_slots;
-  const bool owns_mcast = (shard == 0 && mcast_active_);
-  if (owns_mcast) {
+  if (mcast_active_) {
     mcast_slots.resize(kIoBatch);
     for (auto& s : mcast_slots) s = SharedBuffer::allocate(rx_slot_bytes_);
-  }
-  const int fd = shard_fds_[shard];
-  SpscRing<RxFrame>* ring = rx_rings_[shard].get();
-
-  while (running_.load(std::memory_order_relaxed)) {
-    pollfd fds[2];
-    int nfds = 0;
-    fds[nfds++] = {fd, POLLIN, 0};
-    if (owns_mcast) fds[nfds++] = {mcast_fd_, POLLIN, 0};
-    // Short timeout doubles as the shutdown check.
-    const int rc = ::poll(fds, static_cast<nfds_t>(nfds), 50);
-    if (rc <= 0) continue;
-    bool pushed = false;
-    const auto sink = [&](StationId src, BufView view) {
-      if (ring->try_push(RxFrame{src, std::move(view)})) {
-        pushed = true;
-      } else {
-        // Ring full: the consumer lags a whole ring behind. Observable
-        // overflow — drop and count; NACK/retry recovers.
-        io_stats_.rx_ring_drops.fetch_add(1, std::memory_order_relaxed);
-      }
-    };
-    if ((fds[0].revents & POLLIN) != 0) {
-      drain_socket_mmsg(fd, /*is_mcast=*/false, slots, sink);
-    }
-    if (owns_mcast && (fds[1].revents & POLLIN) != 0) {
-      drain_socket_mmsg(mcast_fd_, /*is_mcast=*/true, mcast_slots, sink);
-    }
-    if (pushed) wake();
-  }
-}
-
-void UdpRuntime::loop() {
-  // Receive ring (single-socket path): pooled slots refilled as datagrams
-  // are consumed. The handler keeps a view of the datagram; the slot's
-  // backing returns to the pool when the last view drops.
-  const bool sharded = opts_.rx_shards > 1;
-  std::vector<SharedBuffer> slots;
-  std::vector<SharedBuffer> mcast_slots;
-  if (!sharded) {
-    slots.resize(kIoBatch);
-    for (auto& s : slots) s = SharedBuffer::allocate(rx_slot_bytes_);
-    if (mcast_active_) {
-      mcast_slots.resize(kIoBatch);
-      for (auto& s : mcast_slots) s = SharedBuffer::allocate(rx_slot_bytes_);
-    }
   }
 
   std::vector<PendingTx> tx_batch;
@@ -791,82 +637,31 @@ void UdpRuntime::loop() {
       flush_tx(tx_batch);
       continue;  // tasks may have been posted while unlocked; re-dispatch
     }
-    // Sharded path: harvest the RX rings before sleeping; a non-empty
-    // harvest may have posted tasks, so re-dispatch first.
-    if (sharded && drain_rx_rings()) continue;
 
-    pollfd fds[3];
-    int nfds = 0;
-    int data_idx = -1;
-    int mcast_idx = -1;
-    if (!sharded) {
-      if (backend_ == UdpBackend::io_uring) {
-        // The ring fd polls readable whenever completions are pending
-        // (both TX retirements and multishot receives).
-        data_idx = nfds;
-        fds[nfds++] = {uring_->ring_fd(), POLLIN, 0};
-      } else {
-        data_idx = nfds;
-        fds[nfds++] = {fd_, POLLIN, 0};
-        if (mcast_active_) {
-          mcast_idx = nfds;
-          fds[nfds++] = {mcast_fd_, POLLIN, 0};
-        }
-      }
-    }
-    const int wake_idx = nfds;
-    fds[nfds++] = {wake_rd_, POLLIN, 0};
-
-    const int rc = ::poll(fds, static_cast<nfds_t>(nfds), timeout_ms);
+    // mcast_fd_ is -1 unless kernel multicast is up; poll skips it then.
+    pollfd fds[3] = {{fd_, POLLIN, 0}, {mcast_fd_, POLLIN, 0},
+                     {wake_rd_, POLLIN, 0}};
+    const int rc = ::poll(fds, 3, timeout_ms);
     if (rc < 0) continue;
-    const bool woke = (fds[wake_idx].revents & POLLIN) != 0;
+    const bool woke = (fds[2].revents & POLLIN) != 0;
     if (woke) drain_wake_fd();
 
-    bool did_rx = false;
-    if (!sharded) {
+    if ((fds[0].revents & POLLIN) != 0) {
+      drain_socket(fd_, /*is_mcast=*/false, slots, rx_batch);
+    }
+    if ((fds[1].revents & POLLIN) != 0) {
+      drain_socket(mcast_fd_, /*is_mcast=*/true, mcast_slots, rx_batch);
+    }
+    const bool did_rx = !rx_batch.empty();
+    // One mu_ acquisition dispatches the whole batch.
+    if (did_rx) {
+      std::unique_lock lock(mu_);
+      if (rx_) {
+        for (auto& [station, view] : rx_batch) {
+          rx_(station, std::move(view));
+        }
+      }
       rx_batch.clear();
-      const auto collect = [&](StationId src, BufView view) {
-        rx_batch.emplace_back(src, std::move(view));
-      };
-      if (backend_ == UdpBackend::io_uring) {
-        if (data_idx >= 0 && (fds[data_idx].revents & POLLIN) != 0) {
-          uring_->drain(io_stats_, [&](UringEngine::RxDatagram&& d) {
-            io_stats_.rx_datagrams.fetch_add(1, std::memory_order_relaxed);
-            if (d.from_mcast) {
-              io_stats_.rx_mcast_datagrams.fetch_add(
-                  1, std::memory_order_relaxed);
-            }
-            if (d.truncated) {
-              io_stats_.rx_truncated.fetch_add(1, std::memory_order_relaxed);
-              return;
-            }
-            StationId src = kBroadcastStation;
-            if (!classify_source(d.src_ip_be, d.src_port_be, &src)) return;
-            rx_batch.emplace_back(src, std::move(d.payload));
-          });
-        }
-      } else {
-        if (data_idx >= 0 && (fds[data_idx].revents & POLLIN) != 0) {
-          drain_socket_mmsg(fd_, /*is_mcast=*/false, slots, collect);
-        }
-        if (mcast_idx >= 0 && (fds[mcast_idx].revents & POLLIN) != 0) {
-          drain_socket_mmsg(mcast_fd_, /*is_mcast=*/true, mcast_slots,
-                            collect);
-        }
-      }
-      // One mu_ acquisition dispatches the whole batch.
-      if (!rx_batch.empty()) {
-        did_rx = true;
-        std::unique_lock lock(mu_);
-        if (rx_) {
-          for (auto& [station, view] : rx_batch) {
-            rx_(station, std::move(view));
-          }
-        }
-        rx_batch.clear();
-      }
-    } else {
-      did_rx = drain_rx_rings();
     }
 
     if (woke && !did_rx) {

@@ -2,33 +2,21 @@
 // provides, backed by UDP sockets and an event-loop thread.
 //
 // Topology is a static station table (station id -> UDP endpoint), the
-// moral equivalent of the paper's single-LAN configuration. The transport
-// has three independently switchable scale-out layers (all OFF by default,
-// so the paper-reproduction tables run on the original path):
+// moral equivalent of the paper's single-LAN configuration. Each runtime
+// owns one UDP socket on 127.0.0.1 and one loop thread that drains it
+// with poll + recvmmsg and flushes outbound frames with sendmmsg.
 //
-//   1. Kernel IP multicast (`UdpOptions::kernel_multicast`): `mcast_key`s
-//      map onto 239.192/16 groups; send_multicast/send_broadcast cost one
-//      datagram instead of an N-1 unicast fan-out. A dedicated receive
-//      socket (bound to the shared `mcast_port`, loopback delivery
-//      enabled) joins groups on subscribe(); our own looped-back frames
-//      are dropped by source match. If the broadcast-group join fails at
-//      construction the runtime falls back to unicast fan-out — exactly
-//      FLIP's documented position that hardware multicast is an
-//      optimization over n point-to-point messages (Section 3.2).
-//   2. Multi-socket RX (`UdpOptions::rx_shards` > 1): the port is shared
-//      across N sockets with SO_REUSEPORT; each socket is drained by its
-//      own RX thread with recvmmsg into a bounded lock-free SPSC ring
-//      (`common/spsc_ring.hpp`), and the loop thread — the single
-//      consumer — pops frames and dispatches them under one mu_
-//      acquisition per drain. The kernel spreads sender flows across the
-//      sockets by 4-tuple hash, so at high sender counts the receive
-//      syscalls run on threads that never take the protocol mutex.
-//   3. io_uring backend (`UdpOptions::backend`, compile-time detected via
-//      the AMOEBA_IO_URING CMake option): the same submit/flush surface
-//      as the sendmmsg/recvmmsg path, with batched SENDMSG submissions
-//      and multishot RECVMSG receive into a registered (provided) buffer
-//      ring refilled from the SharedBuffer pool. Falls back to the poll
-//      backend at runtime when the kernel refuses io_uring_setup.
+// Kernel IP multicast (`UdpOptions::kernel_multicast`, OFF by default so
+// the paper-reproduction tables run on the fan-out path) is the one
+// optional layer: `mcast_key`s map onto 239.192/16 groups and
+// send_multicast/send_broadcast cost one datagram instead of an N-1
+// unicast fan-out. A second receive socket, bound to the shared
+// `mcast_port` with loopback delivery enabled, joins groups on
+// subscribe() and is drained by the same loop; our own looped-back
+// frames are dropped by source match. If the broadcast-group join fails
+// at construction the runtime falls back to unicast fan-out — FLIP's
+// position that hardware multicast is an optimization over n
+// point-to-point messages (Section 3.2).
 //
 // Threading model / lock protocol:
 //   - `mu_` serializes all protocol state: tasks_, timers_, and the tx
@@ -38,41 +26,35 @@
 //     Amoeba's blocking-primitives / multithreaded-application model
 //     (Section 2).
 //   - The station table (stations_, by_addr_, self_) is immutable after
-//     start(): set_station_table throws if the loop is running, and every
-//     I/O path — including the RX shard threads — reads it without mu_.
-//   - Syscalls (sendmmsg/recvmmsg/poll/io_uring_enter) happen OUTSIDE
-//     mu_, so user threads parked on blocking primitives never wait
-//     behind the kernel. The one exception is deliberate: when tx_queue_
-//     hits its high-watermark, the enqueuing context flushes inline while
-//     still holding mu_ — backpressure instead of unbounded memory
-//     (`tx_backpressure_waits` counts these stalls). Because that inline
-//     flush runs on a user thread while the loop thread may be in
-//     submit/drain, UringEngine serializes all ring state behind its own
-//     internal mutex (sendmmsg needs none — the syscall is the only
-//     shared state). Lock order is mu_ -> engine mutex, never the
-//     reverse: drain()'s sink only fills a loop-local batch.
-//   - RX shard threads touch only: their own socket, their own SPSC ring
-//     (as the single producer), the immutable station table, the relaxed
-//     io_stats_ counters, and the wake fd. They never take mu_.
+//     start(): set_station_table throws if the loop is running, and the
+//     I/O paths read it without mu_.
+//   - Syscalls (sendmmsg/recvmmsg/poll) happen OUTSIDE mu_, so user
+//     threads parked on blocking primitives never wait behind the kernel.
+//     The one exception is deliberate: when tx_queue_ hits its
+//     high-watermark, the enqueuing context flushes inline while still
+//     holding mu_ — backpressure instead of unbounded memory
+//     (`tx_backpressure_waits` counts these stalls). That inline flush
+//     may run on a user thread while the loop thread flushes a batch it
+//     swapped out earlier; each flush owns its batch, so the two share
+//     only the socket (the kernel serializes sendmmsg) and the relaxed
+//     io_stats_ counters.
 //   - The wake path is an eventfd (pipe fallback) with a pending-flag
 //     suppressor: back-to-back posts cost one syscall, not one each
 //     (`wakes_suppressed`), and wake-ups that find no work are counted
 //     (`wake_spurious`).
 //
 // I/O batching: outbound frames queue (as views — no copies) and are
-// flushed with one sendmmsg (or one io_uring submit) per batch, so a
-// multicast fan-out of N frames or a pipeline of back-to-back sends costs
-// one syscall, not N. Inbound, recvmmsg (or the multishot completion
-// queue) drains the socket into pooled receive buffers and the whole
-// batch is dispatched under a single mu_ acquisition; each handler gets a
-// zero-copy view of its datagram.
+// flushed with one sendmmsg per batch, so a multicast fan-out of N frames
+// or a pipeline of back-to-back sends costs one syscall, not N. Inbound,
+// recvmmsg drains each readable socket into pooled receive buffers and
+// the whole batch is dispatched under a single mu_ acquisition; each
+// handler gets a zero-copy view of its datagram.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <queue>
 #include <string>
@@ -82,14 +64,11 @@
 #include <vector>
 
 #include "common/result.hpp"
-#include "common/spsc_ring.hpp"
 #include "transport/runtime.hpp"
 
 namespace amoeba::transport {
 
-class UringEngine;
-
-/// I/O-path counters. Written by the loop/RX threads (and whoever
+/// I/O-path counters. Written by the loop thread (and whoever
 /// flushes), read from anywhere: relaxed atomics, monotonic, never reset.
 struct UdpIoStats {
   std::atomic<std::uint64_t> tx_datagrams{0};   // handed to the kernel
@@ -115,14 +94,6 @@ struct UdpIoStats {
   // --- bounded tx queue ----------------------------------------------------
   std::atomic<std::uint64_t> tx_queue_hwm_hits{0};  // enqueue at the limit
   std::atomic<std::uint64_t> tx_backpressure_waits{0};  // inline flushes
-  // --- multi-socket RX path ------------------------------------------------
-  std::atomic<std::uint64_t> rx_ring_drops{0};  // SPSC ring full, frame lost
-};
-
-/// Which syscall engine drives the socket I/O.
-enum class UdpBackend : std::uint8_t {
-  poll,      // poll + sendmmsg/recvmmsg (default, always available)
-  io_uring,  // batched SENDMSG + multishot RECVMSG on an io_uring
 };
 
 /// Construction-time knobs for the real-socket runtime. Defaults are the
@@ -137,7 +108,7 @@ struct UdpOptions {
   /// enqueuing context flushes inline (backpressure) instead of growing
   /// the queue without bound while a peer stalls the flusher.
   std::size_t tx_queue_hwm = 8192;
-  /// Layer 1: map mcast_keys onto kernel IP multicast groups.
+  /// Map mcast_keys onto kernel IP multicast groups.
   bool kernel_multicast = false;
   /// Shared UDP port all stations' multicast receive sockets bind (must
   /// agree across the station table). 0 = pick an ephemeral port at
@@ -147,15 +118,6 @@ struct UdpOptions {
   /// default is the loopback interface (single-host benches); a bad
   /// address makes every join fail, which exercises the fan-out fallback.
   std::string mcast_ifaddr = "127.0.0.1";
-  /// Layer 2: number of SO_REUSEPORT receive sockets / RX threads. 1 =
-  /// the classic single-socket loop.
-  unsigned rx_shards = 1;
-  /// Per-shard SPSC ring capacity (frames), rounded up to a power of two.
-  std::size_t rx_ring_capacity = 4096;
-  /// Layer 3: syscall engine. io_uring falls back to poll when the kernel
-  /// (or the build) lacks support; combining it with rx_shards > 1 is a
-  /// bad_config (each layer is benchmarked on its own axis).
-  UdpBackend backend = UdpBackend::poll;
 
   /// Validate and clamp, mirroring GroupConfig::normalize: nonsense is a
   /// typed Status::bad_config, over-small bounds clamp to sane floors.
@@ -181,18 +143,8 @@ class UdpRuntime final : public Executor, public Device {
   /// True when the kernel-multicast path is up (requested AND the
   /// broadcast-group join succeeded); false means fan-out fallback.
   bool kernel_multicast_active() const { return mcast_active_; }
-  /// The syscall engine actually driving I/O (io_uring requests fall back
-  /// to poll when unsupported).
-  UdpBackend backend() const { return backend_; }
-  /// Number of RX shard sockets (1 = classic single-socket loop).
-  unsigned rx_shards() const {
-    return static_cast<unsigned>(shard_fds_.size());
-  }
   /// Effective (normalized) construction options.
   const UdpOptions& options() const { return opts_; }
-  /// True when this build carries the io_uring engine AND the running
-  /// kernel accepts io_uring_setup (probed once per process).
-  static bool io_uring_available();
 
   /// Declare the full station table. Entry `self_station` must match this
   /// process's own endpoint; frames to it short-circuit locally.
@@ -202,7 +154,7 @@ class UdpRuntime final : public Executor, public Device {
                          const std::vector<std::pair<std::string, std::uint16_t>>&
                              endpoints);
 
-  /// Start / stop the loop thread (and the RX shard threads).
+  /// Start / stop the loop thread.
   void start();
   void stop();
 
@@ -263,44 +215,29 @@ class UdpRuntime final : public Executor, public Device {
     bool mcast{false};
   };
 
-  /// One received frame crossing an RX shard ring.
-  struct RxFrame {
-    StationId src{kBroadcastStation};
-    BufView payload;
-  };
-
   void init(const UdpOptions& options);
   void setup_multicast();
   void loop();
-  void rx_shard_loop(unsigned shard);
   void wake();
   /// Drain + disarm the wake fd. Called by the loop thread only.
   void drain_wake_fd();
   /// Queue one frame for the next flush; applies the high-watermark
   /// backpressure policy. Caller holds mu_.
   void enqueue_tx(Endpoint to, BufView payload, bool mcast);
-  /// Send a swapped-out batch with sendmmsg (or the uring engine). Called
-  /// without mu_ on the normal path, WITH mu_ on the backpressure path.
+  /// Send a swapped-out batch with sendmmsg. Called without mu_ on the
+  /// normal path, WITH mu_ on the backpressure path.
   void flush_tx(std::vector<PendingTx>& batch);
-  void flush_tx_mmsg(std::vector<PendingTx>& batch);
-  /// Pop everything the RX shard rings hold and dispatch it under one
-  /// mu_ acquisition. Returns true if any frame was dispatched.
-  bool drain_rx_rings();
-  /// Classify a received datagram's source endpoint; returns false (and
-  /// counts) for unknown peers and our own looped-back multicasts.
-  bool classify_source(std::uint32_t ip_be, std::uint16_t port_be,
-                       StationId* src);
-  /// recvmmsg-drain one readable socket, handing frames to `sink`.
-  template <typename Sink>
-  void drain_socket_mmsg(int fd, bool is_mcast, std::vector<SharedBuffer>& slots,
-                         const Sink& sink);
+  /// recvmmsg-drain one readable socket, appending (source, datagram)
+  /// pairs to `out`; datagrams from unknown peers and our own
+  /// looped-back multicasts are counted and dropped. Called by the loop
+  /// thread only.
+  void drain_socket(int fd, bool is_mcast, std::vector<SharedBuffer>& slots,
+                    std::vector<std::pair<StationId, BufView>>& out);
   /// 239.192/16 group address for a subscription key.
   static std::uint32_t group_ip_be(std::uint64_t mcast_key);
 
   UdpOptions opts_;
   int fd_{-1};
-  /// All RX sockets; shard_fds_[0] == fd_ (the TX socket).
-  std::vector<int> shard_fds_;
   int mcast_fd_{-1};
   int wake_rd_{-1};
   int wake_wr_{-1};
@@ -309,18 +246,15 @@ class UdpRuntime final : public Executor, public Device {
   std::uint16_t local_port_{0};
   std::uint16_t mcast_port_{0};
   bool mcast_active_{false};
-  UdpBackend backend_{UdpBackend::poll};
   StationId self_{kBroadcastStation};
   std::size_t rx_slot_bytes_{2048};
 
   std::mutex mu_;
   std::thread loop_thread_;
-  std::vector<std::thread> rx_threads_;
   std::atomic<bool> running_{false};
 
   // Station table; index = station id. Stored as resolved sockaddr blobs.
-  // Immutable after start() — read lock-free by the I/O paths (including
-  // the RX shard threads).
+  // Immutable after start() — read lock-free by the I/O paths.
   std::vector<Endpoint> stations_;
   std::map<std::pair<std::uint32_t, std::uint16_t>, StationId> by_addr_;
 
@@ -338,10 +272,6 @@ class UdpRuntime final : public Executor, public Device {
 
   std::vector<PendingTx> tx_queue_;
 
-  /// Per-shard frame rings (rx_shards > 1): producer = shard thread i,
-  /// consumer = the loop thread.
-  std::vector<std::unique_ptr<SpscRing<RxFrame>>> rx_rings_;
-
   /// Joined multicast groups: folded group ip -> subscribe refcount
   /// (distinct keys may fold onto one address; over-delivery is filtered
   /// by FLIP's address match). Guarded by mcast_mu_ — NOT mu_ — so
@@ -351,8 +281,6 @@ class UdpRuntime final : public Executor, public Device {
   std::unordered_map<std::uint32_t, int> mcast_refs_;
   /// Parsed opts_.mcast_ifaddr (network byte order), 0 until setup.
   std::uint32_t mcast_if_be_{0};
-
-  std::unique_ptr<UringEngine> uring_;
 
   std::function<void(StationId, BufView)> rx_;
   Time epoch_{};

@@ -1,7 +1,7 @@
-// SpscRing: the lock-free frame conveyor between UDP RX threads and the
-// protocol core. Functional coverage plus a two-thread stress case that the
-// TSan CI job runs — the ring's acquire/release protocol is load-bearing
-// for the whole multi-socket receive path.
+// SpscRing, the lock-free ring protocol tracing is built on
+// (check::TraceRing). Functional coverage plus two-thread stress cases
+// that the TSan CI job runs — the ring's acquire/release protocol is what
+// makes draining a live member's trace from another thread race-free.
 #include "common/spsc_ring.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "check/trace.hpp"
 #include "common/buffer.hpp"
 
 namespace amoeba {
@@ -144,6 +145,33 @@ TEST(SpscRing, ProducerConsumerStressWithViews) {
   }
   consumer.join();
   EXPECT_EQ(consumed.load(), kItems);
+}
+
+TEST(TraceRing, OneEventDrainsGrowGeometrically) {
+  // The harnesses drain after every engine step, so most drains carry a
+  // single event. Appending must stay amortized O(1): a drain that
+  // reserves exactly size() + n reallocates and copies the whole history
+  // every time, which makes trace collection quadratic in run length.
+  constexpr int kDrains = 100000;
+  constexpr int kMaxReallocations = 64;
+  check::TraceRing ring;
+  std::vector<check::TraceEvent> out;
+  const check::TraceEvent* data = out.data();
+  int reallocations = 0;
+  for (int i = 0; i < kDrains; ++i) {
+    check::TraceEvent e;
+    e.msg_id = static_cast<std::uint32_t>(i);
+    ring.emit(e);
+    ASSERT_EQ(ring.drain(out), 1u);
+    if (out.data() != data) {
+      data = out.data();
+      ASSERT_LT(++reallocations, kMaxReallocations) << "after " << i + 1
+                                                    << " drains";
+    }
+  }
+  ASSERT_EQ(out.size(), static_cast<std::size_t>(kDrains));
+  EXPECT_EQ(out.back().msg_id, static_cast<std::uint32_t>(kDrains - 1));
+  EXPECT_EQ(ring.dropped(), 0u);
 }
 
 }  // namespace

@@ -24,8 +24,7 @@ namespace amoeba::group {
 namespace {
 
 /// One OS-process-worth of stack, with the fault interposer between the
-/// FLIP stack and the UDP device. `rx_shards > 1` runs the runtime on the
-/// multi-socket SO_REUSEPORT receive path (SPSC rings under the chaos).
+/// FLIP stack and the UDP device.
 struct ChaosProc {
   check::TraceRing ring;  // structured event trace, drained by the test
   transport::UdpRuntime rt;
@@ -33,22 +32,16 @@ struct ChaosProc {
   flip::FlipStack flip;
   BlockingGroup grp;
 
-  static transport::UdpOptions opts_for(unsigned rx_shards) {
-    transport::UdpOptions o;
-    o.rx_shards = rx_shards;
-    return o;
-  }
-
   ChaosProc(flip::Address addr, GroupConfig cfg, std::uint64_t seed,
-            unsigned rx_shards = 1)
-      : rt(opts_for(rx_shards)), faults(rt, rt, seed), flip(rt, faults),
+            const transport::UdpOptions& opts)
+      : rt(opts), faults(rt, rt, seed), flip(rt, faults),
         grp(rt, flip, addr, cfg) {
     grp.member().set_trace_ring(&ring);  // before rt.start(): no races
   }
 };
 
 class UdpChaos : public ::testing::TestWithParam<std::uint64_t> {};
-class UdpChaosMultiSocket : public ::testing::TestWithParam<std::uint64_t> {};
+class UdpChaosKmcast : public ::testing::TestWithParam<std::uint64_t> {};
 
 // Payload tag: (phase, sender, k) packed into the first bytes.
 Buffer tagged(std::size_t bytes, int phase, std::size_t sender, int k) {
@@ -62,7 +55,7 @@ int tag_of(const GroupMessage& m) {
   return (m.data[0] << 16) | (m.data[1] << 8) | m.data[2];
 }
 
-void run_chaos_lifecycle(std::uint64_t seed, unsigned rx_shards) {
+void run_chaos_lifecycle(std::uint64_t seed, bool kernel_multicast) {
   constexpr std::size_t kN = 4;
 
   GroupConfig cfg;
@@ -78,11 +71,21 @@ void run_chaos_lifecycle(std::uint64_t seed, unsigned rx_shards) {
   cfg.invite_interval = Duration::millis(60);
   cfg.status_interval = Duration::millis(100);
 
+  // With kernel multicast, member 0 picks the shared multicast port and
+  // the others bind it.
   std::vector<std::unique_ptr<ChaosProc>> procs;
+  transport::UdpOptions udp_opts;
+  udp_opts.kernel_multicast = kernel_multicast;
   for (std::size_t i = 0; i < kN; ++i) {
     procs.push_back(std::make_unique<ChaosProc>(
-        flip::process_address(i + 1), cfg, seed ^ (i * 0x9E37ULL), rx_shards));
-    ASSERT_EQ(procs.back()->rt.rx_shards(), rx_shards);
+        flip::process_address(i + 1), cfg, seed ^ (i * 0x9E37ULL), udp_opts));
+    udp_opts.mcast_port = procs[0]->rt.mcast_port();
+  }
+  if (kernel_multicast) {
+    if (!procs[0]->rt.kernel_multicast_active()) {
+      GTEST_SKIP() << "kernel multicast unavailable on this host";
+    }
+    for (auto& p : procs) ASSERT_TRUE(p->rt.kernel_multicast_active());
   }
   std::vector<std::pair<std::string, std::uint16_t>> table;
   for (auto& p : procs) table.emplace_back("127.0.0.1", p->rt.local_port());
@@ -297,15 +300,16 @@ void run_chaos_lifecycle(std::uint64_t seed, unsigned rx_shards) {
 }
 
 TEST_P(UdpChaos, LifecycleSurvivesSeededFaults) {
-  run_chaos_lifecycle(GetParam(), /*rx_shards=*/1);
+  run_chaos_lifecycle(GetParam(), /*kernel_multicast=*/false);
 }
 
-// The same full lifecycle — faults, crash, ResetGroup, oracle — on the
-// multi-socket SO_REUSEPORT receive path: RX threads producing into SPSC
-// rings while the protocol core consumes. One small seed batch on PR CI;
-// the single-socket sweep above keeps the wide coverage.
-TEST_P(UdpChaosMultiSocket, LifecycleSurvivesSeededFaults) {
-  run_chaos_lifecycle(GetParam(), /*rx_shards=*/4);
+// The same full lifecycle — faults, crash, ResetGroup, oracle — with
+// every member on kernel IP multicast: group traffic goes out as single
+// group datagrams and arrives on each member's multicast socket, where the
+// sender's own looped-back copy is filtered by source match. One small
+// seed batch on PR CI; the fan-out sweep above keeps the wide coverage.
+TEST_P(UdpChaosKmcast, LifecycleSurvivesSeededFaults) {
+  run_chaos_lifecycle(GetParam(), /*kernel_multicast=*/true);
 }
 
 /// Sweep width is environment-driven: AMOEBA_CHAOS_SEEDS (default 20).
@@ -321,7 +325,7 @@ std::vector<std::uint64_t> chaos_seeds() {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, UdpChaos, ::testing::ValuesIn(chaos_seeds()));
-INSTANTIATE_TEST_SUITE_P(SeedBatch, UdpChaosMultiSocket,
+INSTANTIATE_TEST_SUITE_P(SeedBatch, UdpChaosKmcast,
                          ::testing::Values(1ULL, 2ULL, 3ULL));
 
 }  // namespace
