@@ -2,6 +2,8 @@
 // cross products, and cost-model sanity.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "group/sim_harness.hpp"
 
 namespace amoeba::group {
@@ -84,18 +86,22 @@ TEST(GroupAdversarial, LazarusSequencerCannotCorruptTheNewIncarnation) {
   }
 }
 
+// CTest names each case with gtest's raw byte dump of its parameter.
+// `pad` takes the place of the padding after `method`, so those bytes
+// are zero on every build instead of whatever the stack held.
 struct MethodResilience {
   Method method;
+  std::uint8_t pad[3];
   std::uint32_t r;
 };
+static_assert(std::has_unique_object_representations_v<MethodResilience>);
 
 class RecoveryMatrix : public ::testing::TestWithParam<MethodResilience> {};
 
 TEST_P(RecoveryMatrix, CrashAndRebuildUnderEveryMethod) {
-  const auto [method, r] = GetParam();
   GroupConfig cfg = fast_cfg();
-  cfg.method = method;
-  cfg.resilience = r;
+  cfg.method = GetParam().method;
+  cfg.resilience = GetParam().r;
   SimGroupHarness h(5, cfg);
   ASSERT_TRUE(h.form_group());
 
@@ -146,12 +152,12 @@ TEST_P(RecoveryMatrix, CrashAndRebuildUnderEveryMethod) {
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, RecoveryMatrix,
-    ::testing::Values(MethodResilience{Method::pb, 0},
-                      MethodResilience{Method::bb, 0},
-                      MethodResilience{Method::dynamic, 0},
-                      MethodResilience{Method::pb, 2},
-                      MethodResilience{Method::bb, 2},
-                      MethodResilience{Method::dynamic, 2}),
+    ::testing::Values(MethodResilience{Method::pb, {}, 0},
+                      MethodResilience{Method::bb, {}, 0},
+                      MethodResilience{Method::dynamic, {}, 0},
+                      MethodResilience{Method::pb, {}, 2},
+                      MethodResilience{Method::bb, {}, 2},
+                      MethodResilience{Method::dynamic, {}, 2}),
     [](const ::testing::TestParamInfo<MethodResilience>& param_info) {
       const char* name = param_info.param.method == Method::pb   ? "pb"
                          : param_info.param.method == Method::bb ? "bb"
