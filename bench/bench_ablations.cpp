@@ -43,8 +43,7 @@ double bursty_delay_us(bool migrate, int bursts, int burst_len) {
   int sent = 0;
   Time start{};
   const group::MemberId my = hot.member().info().my_id;
-  auto send_one = std::make_shared<std::function<void()>>();
-  *send_one = [&, send_one] {
+  std::function<void()> send_one = [&] {
     if (sent >= bursts * burst_len) return;
     start = h.engine().now();
     hot.user_send(Buffer{}, [](Status) {});
@@ -56,13 +55,13 @@ double bursty_delay_us(bool migrate, int bursts, int burst_len) {
       if (sent % burst_len == 0) {
         // Inter-burst gap: the pattern the migrating sequencer exploits.
         h.world().node(3).set_timer(Duration::millis(20),
-                                    [send_one] { (*send_one)(); });
+                                    [&send_one] { send_one(); });
       } else {
-        (*send_one)();
+        send_one();
       }
     }
   });
-  (*send_one)();
+  send_one();
   h.run_until([&] { return sent >= bursts * burst_len; },
               Duration::seconds(120));
   return hist.mean();
@@ -106,8 +105,7 @@ double delay_with_model(const sim::CostModel& model) {
   int done = 0;
   Time start{};
   const group::MemberId my = h.process(1).member().info().my_id;
-  auto send_one = std::make_shared<std::function<void()>>();
-  *send_one = [&, send_one] {
+  std::function<void()> send_one = [&] {
     if (done >= 200) return;
     start = h.engine().now();
     h.process(1).user_send(Buffer{}, [](Status) {});
@@ -116,10 +114,10 @@ double delay_with_model(const sim::CostModel& model) {
     if (m.kind == group::MessageKind::app && m.sender == my) {
       hist.add(h.engine().now() - start);
       ++done;
-      (*send_one)();
+      send_one();
     }
   });
-  (*send_one)();
+  send_one();
   h.run_until([&] { return done >= 200; }, Duration::seconds(60));
   return hist.mean();
 }
@@ -132,16 +130,13 @@ double throughput_with_model(const sim::CostModel& model) {
   if (!h.form_group()) return -1;
   for (std::size_t p = 0; p < 8; ++p) h.process(p).set_keep_payloads(false);
   std::uint64_t completed = 0;
-  for (std::size_t p = 0; p < 8; ++p) {
-    auto loop = std::make_shared<std::function<void()>>();
-    *loop = [&h, &completed, p, loop] {
-      h.process(p).user_send(Buffer{}, [&completed, loop](Status s) {
-        if (s == Status::ok) ++completed;
-        (*loop)();
-      });
-    };
-    (*loop)();
-  }
+  std::function<void(std::size_t)> loop = [&](std::size_t p) {
+    h.process(p).user_send(Buffer{}, [&, p](Status s) {
+      if (s == Status::ok) ++completed;
+      loop(p);
+    });
+  };
+  for (std::size_t p = 0; p < 8; ++p) loop(p);
   h.run_until([] { return false; }, Duration::seconds(1));
   const std::uint64_t warm = completed;
   const Time t0 = h.engine().now();
@@ -203,16 +198,15 @@ int main() {
     if (!h.form_group()) continue;
     int done = 0, issued = 0;
     constexpr int kTotal = 300;
-    auto issue = std::make_shared<std::function<void()>>();
-    *issue = [&h, &done, &issued, issue] {
+    std::function<void()> issue = [&h, &done, &issued, &issue] {
       if (issued >= kTotal) return;
       ++issued;
-      h.process(1).user_send(Buffer{}, [&done, issue](Status s) {
+      h.process(1).user_send(Buffer{}, [&done, &issue](Status s) {
         if (s == Status::ok) ++done;
-        (*issue)();
+        issue();
       });
     };
-    for (int k = 0; k < w; ++k) (*issue)();
+    for (int k = 0; k < w; ++k) issue();
     const Time t0 = h.engine().now();
     h.run_until([&] { return done == kTotal; }, Duration::seconds(120));
     print_row({fmt("%d", w),

@@ -52,14 +52,13 @@ PaRun run_pa(std::size_t members, Duration ack_spread, int rx_ring,
   }
 
   std::uint64_t completed = 0;
-  auto loop = std::make_shared<std::function<void()>>();
-  *loop = [&procs, &completed, loop] {
-    procs[0]->member->send(Buffer{}, [&completed, loop](Status s) {
+  std::function<void()> loop = [&procs, &completed, &loop] {
+    procs[0]->member->send(Buffer{}, [&completed, &loop](Status s) {
       if (s == Status::ok) ++completed;
-      (*loop)();
+      loop();
     });
   };
-  (*loop)();
+  loop();
 
   const Time t0 = world.now();
   world.run_for(sim_time);
@@ -123,14 +122,13 @@ int main() {
     h.set_tracing(false);
     if (!h.form_group()) continue;
     std::uint64_t completed = 0;
-    auto loop = std::make_shared<std::function<void()>>();
-    *loop = [&h, &completed, loop] {
-      h.process(1).user_send(Buffer{}, [&completed, loop](Status s) {
+    std::function<void()> loop = [&h, &completed, &loop] {
+      h.process(1).user_send(Buffer{}, [&completed, &loop](Status s) {
         if (s == Status::ok) ++completed;
-        (*loop)();
+        loop();
       });
     };
-    (*loop)();
+    loop();
     const Time t0 = h.engine().now();
     h.run_until([] { return false; }, Duration::seconds(3));
     std::uint64_t nacks = 0;

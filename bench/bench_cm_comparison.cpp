@@ -65,23 +65,22 @@ CmRun run_cm(std::size_t members, int broadcasts) {
   // Symmetric with the Amoeba delay measurement: charge the user-level
   // syscall before the send and the wakeup + receive after completion.
   auto& uexec = procs[1]->exec;
-  auto send_one = std::make_shared<std::function<void()>>();
-  *send_one = [&, send_one] {
+  std::function<void()> send_one = [&] {
     if (done >= broadcasts) return;
-    uexec.post(uexec.costs().user_send, [&, send_one] {
+    uexec.post(uexec.costs().user_send, [&] {
       start = world.now();
-      procs[1]->member->send(Buffer{}, [&, send_one](Status s) {
+      procs[1]->member->send(Buffer{}, [&](Status s) {
         if (s != Status::ok) return;
         uexec.post(uexec.costs().ctx_switch + uexec.costs().user_deliver,
-                   [&, send_one] {
+                   [&] {
                      hist.add(world.now() - start);
                      ++done;
-                     (*send_one)();
+                     send_one();
                    });
       });
     });
   };
-  (*send_one)();
+  send_one();
   const Time deadline = world.now() + Duration::seconds(300);
   while (done < broadcasts && world.now() < deadline &&
          world.engine().pending() > 0) {
@@ -129,8 +128,7 @@ AmoebaRun run_amoeba(std::size_t members, int broadcasts) {
   int done = 0;
   Time start{};
   const group::MemberId my = h.process(1).member().info().my_id;
-  auto send_one = std::make_shared<std::function<void()>>();
-  *send_one = [&, send_one] {
+  std::function<void()> send_one = [&] {
     if (done >= broadcasts) return;
     start = h.engine().now();
     h.process(1).user_send(Buffer{}, [](Status) {});
@@ -139,10 +137,10 @@ AmoebaRun run_amoeba(std::size_t members, int broadcasts) {
     if (m.kind == group::MessageKind::app && m.sender == my) {
       hist.add(h.engine().now() - start);
       ++done;
-      (*send_one)();
+      send_one();
     }
   });
-  (*send_one)();
+  send_one();
   h.run_until([&] { return done >= broadcasts; }, Duration::seconds(300));
 
   std::uint64_t interrupts = 0;
@@ -195,16 +193,13 @@ double cm_throughput(std::size_t members, Duration sim_time) {
     procs.push_back(std::move(p));
   }
   std::uint64_t completed = 0;
-  for (std::size_t i = 0; i < members; ++i) {
-    auto loop = std::make_shared<std::function<void()>>();
-    *loop = [&procs, &completed, i, loop] {
-      procs[i]->member->send(Buffer{}, [&completed, loop](Status s) {
-        if (s == Status::ok) ++completed;
-        (*loop)();
-      });
-    };
-    (*loop)();
-  }
+  std::function<void(std::size_t)> loop = [&](std::size_t i) {
+    procs[i]->member->send(Buffer{}, [&, i](Status s) {
+      if (s == Status::ok) ++completed;
+      loop(i);
+    });
+  };
+  for (std::size_t i = 0; i < members; ++i) loop(i);
   world.run_for(Duration::seconds(1));
   const std::uint64_t warm = completed;
   const Time t0 = world.now();

@@ -28,9 +28,8 @@ DelayResult measure_delay(std::size_t members, std::size_t bytes,
   Time start{};
   SimProcess& sender = h.process(1 % members);
   const group::MemberId my_id = sender.member().info().my_id;
-
-  auto send_one = std::make_shared<std::function<void()>>();
-  *send_one = [&h, &sender, &start, bytes, iters, &done, send_one] {
+  std::function<void()> send_one = [&h, &sender, &start, bytes, iters, &done,
+                                    &send_one] {
     if (done >= iters) return;
     start = h.engine().now();
     sender.user_send(make_pattern_buffer(bytes), [](Status) {});
@@ -41,10 +40,10 @@ DelayResult measure_delay(std::size_t members, std::size_t bytes,
     if (m.kind == MessageKind::app && m.sender == my_id) {
       hist.add(h.engine().now() - start);
       ++done;
-      (*send_one)();
+      send_one();
     }
   });
-  (*send_one)();
+  send_one();
   h.run_until([&] { return done >= iters; }, Duration::seconds(600));
 
   out.iters = hist.count();
@@ -74,18 +73,16 @@ ThroughputResult measure_throughput(std::size_t members, std::size_t bytes,
   }
 
   std::uint64_t completed = 0;
+  std::function<void(std::size_t)> loop = [&](std::size_t p) {
+    h.process(p).user_send(make_pattern_buffer(bytes), [&, p](Status s) {
+      if (s == Status::ok) ++completed;
+      loop(p);  // closed loop: send again
+    });
+  };
   for (std::size_t p = 0; p < members; ++p) {
-    auto loop = std::make_shared<std::function<void()>>();
-    *loop = [&h, &completed, p, bytes, loop] {
-      h.process(p).user_send(make_pattern_buffer(bytes),
-                             [&completed, loop](Status s) {
-                               if (s == Status::ok) ++completed;
-                               (*loop)();  // closed loop: send again
-                             });
-    };
     // One chain per window slot keeps `window` sends in flight per member
     // (window 1 = the paper's blocking sender).
-    for (int w = 0; w < opts.window; ++w) (*loop)();
+    for (int w = 0; w < opts.window; ++w) loop(p);
   }
 
   // Warm up 1 simulated second, then measure.
@@ -133,27 +130,24 @@ ThroughputResult measure_parallel_groups(std::size_t n_groups,
   }
 
   ThroughputResult out;
-  // Form each group: member g*size is its creator/sequencer. The join
-  // chains outlive this scope (callbacks fire from the event loop), so
-  // they are heap-kept.
+  // Form each group: member g*size is its creator/sequencer; the others
+  // join one after another.
   std::size_t formed = 0;
+  std::function<void(std::size_t, std::size_t)> join_next =
+      [&](std::size_t g, std::size_t i) {
+        if (i >= group_size) return;
+        procs[g * group_size + i]->member().join_group(
+            flip::group_address(0x9000 + g), [&, g, i](Status s) {
+              if (s == Status::ok) ++formed;
+              join_next(g, i + 1);
+            });
+      };
   for (std::size_t g = 0; g < n_groups; ++g) {
-    const flip::Address gaddr = flip::group_address(0x9000 + g);
-    const std::size_t base = g * group_size;
-    procs[base]->member().create_group(gaddr, [&formed](Status s) {
-      if (s == Status::ok) ++formed;
-    });
-    auto join_next = std::make_shared<std::function<void(std::size_t)>>();
-    *join_next = [&procs, &formed, gaddr, base, group_size,
-                  join_next](std::size_t i) {
-      if (i >= group_size) return;
-      procs[base + i]->member().join_group(
-          gaddr, [&formed, join_next, i](Status s) {
-            if (s == Status::ok) ++formed;
-            (*join_next)(i + 1);
-          });
-    };
-    (*join_next)(1);
+    procs[g * group_size]->member().create_group(
+        flip::group_address(0x9000 + g), [&formed](Status s) {
+          if (s == Status::ok) ++formed;
+        });
+    join_next(g, 1);
   }
   const Time deadline = world.now() + Duration::seconds(60);
   while (formed < total && world.now() < deadline &&
@@ -163,17 +157,13 @@ ThroughputResult measure_parallel_groups(std::size_t n_groups,
   if (formed < total) return out;
 
   std::uint64_t completed = 0;
-  for (std::size_t i = 0; i < total; ++i) {
-    auto loop = std::make_shared<std::function<void()>>();
-    *loop = [&procs, &completed, i, bytes, loop] {
-      procs[i]->user_send(make_pattern_buffer(bytes),
-                          [&completed, loop](Status s) {
-                            if (s == Status::ok) ++completed;
-                            (*loop)();
-                          });
-    };
-    (*loop)();
-  }
+  std::function<void(std::size_t)> loop = [&](std::size_t i) {
+    procs[i]->user_send(make_pattern_buffer(bytes), [&, i](Status s) {
+      if (s == Status::ok) ++completed;
+      loop(i);
+    });
+  };
+  for (std::size_t i = 0; i < total; ++i) loop(i);
 
   world.run_for(Duration::seconds(1));  // warm-up
   const std::uint64_t warm = completed;

@@ -10,9 +10,11 @@
 // agreement between the addressed shards' sequencers). Non-addressed
 // shards do zero work for a cross-shard round, so a background stream
 // pinned to untouched shards must keep its throughput as the mix grows.
+// Every delivery of every shard pays the same user-level receive cost
+// (wake-up, copy-out, syscall return) as the Fig. 6 rows above it.
 #include "bench_common.hpp"
 
-#include "group/sharded_harness.hpp"
+#include "group/sim_harness.hpp"
 
 namespace {
 
@@ -35,11 +37,10 @@ MixResult measure_cross_mix(int mix_pct, amoeba::Duration sim_time) {
   constexpr int kWindow = 4;
 
   GroupConfig cfg;
-  ShardedHarness h(kProcs, 4, cfg, Node::Config{},
-                   sim::CostModel::mc68030_ether10(), 1);
+  SimGroupHarness h(kProcs, cfg, sim::CostModel::mc68030_ether10(), 1, 4);
   h.set_tracing(false);
   MixResult out;
-  if (!h.form()) return out;
+  if (!h.form_group()) return out;
 
   const Time t_end = h.engine().now() + sim_time;
   std::uint64_t done_mix = 0, done_bg = 0;

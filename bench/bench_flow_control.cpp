@@ -23,17 +23,13 @@ ThroughputResult run(std::size_t senders, std::size_t bytes, bool fc) {
     h.process(p).set_keep_payloads(false);
   }
   std::uint64_t completed = 0;
-  for (std::size_t p = 0; p < senders; ++p) {
-    auto loop = std::make_shared<std::function<void()>>();
-    *loop = [&h, &completed, p, bytes, loop] {
-      h.process(p).user_send(make_pattern_buffer(bytes),
-                             [&completed, loop](Status s) {
-                               if (s == Status::ok) ++completed;
-                               (*loop)();
-                             });
-    };
-    (*loop)();
-  }
+  std::function<void(std::size_t)> loop = [&](std::size_t p) {
+    h.process(p).user_send(make_pattern_buffer(bytes), [&, p](Status s) {
+      if (s == Status::ok) ++completed;
+      loop(p);
+    });
+  };
+  for (std::size_t p = 0; p < senders; ++p) loop(p);
   h.run_until([] { return false; }, Duration::seconds(1));
   const std::uint64_t warm = completed;
   const Time t0 = h.engine().now();

@@ -36,8 +36,7 @@ LossyRun run(double loss, std::uint64_t seed) {
     int done = 0;
     Time start{};
     const group::MemberId my = h.process(1).member().info().my_id;
-    auto send_one = std::make_shared<std::function<void()>>();
-    *send_one = [&, send_one] {
+    std::function<void()> send_one = [&] {
       if (done >= 200) return;
       start = h.engine().now();
       h.process(1).user_send(Buffer{}, [](Status) {});
@@ -46,10 +45,10 @@ LossyRun run(double loss, std::uint64_t seed) {
       if (m.kind == group::MessageKind::app && m.sender == my) {
         hist.add(h.engine().now() - start);
         ++done;
-        (*send_one)();
+        send_one();
       }
     });
-    (*send_one)();
+    send_one();
     h.run_until([&] { return done >= 200; }, Duration::seconds(600));
     out.delay_ms = hist.mean() / 1000.0;
     out.p99_ms = hist.percentile(99) / 1000.0;
@@ -64,16 +63,13 @@ LossyRun run(double loss, std::uint64_t seed) {
     h.world().segment().set_fault_plan(sim::FaultPlan{.loss_prob = loss});
     for (std::size_t p = 0; p < 8; ++p) h.process(p).set_keep_payloads(false);
     std::uint64_t completed = 0;
-    for (std::size_t p = 0; p < 8; ++p) {
-      auto loop = std::make_shared<std::function<void()>>();
-      *loop = [&h, &completed, p, loop] {
-        h.process(p).user_send(Buffer{}, [&completed, loop](Status s) {
-          if (s == Status::ok) ++completed;
-          (*loop)();
-        });
-      };
-      (*loop)();
-    }
+    std::function<void(std::size_t)> loop = [&](std::size_t p) {
+      h.process(p).user_send(Buffer{}, [&, p](Status s) {
+        if (s == Status::ok) ++completed;
+        loop(p);
+      });
+    };
+    for (std::size_t p = 0; p < 8; ++p) loop(p);
     h.run_until([] { return false; }, Duration::seconds(1));
     const std::uint64_t warm = completed;
     const Time t0 = h.engine().now();

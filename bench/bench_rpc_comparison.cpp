@@ -31,25 +31,23 @@ double rpc_delay_us(std::size_t bytes, int iters) {
   Histogram hist;
   int done = 0;
   Time start{};
-  auto call_one = std::make_shared<std::function<void()>>();
-  *call_one = [&, call_one, bytes, iters] {
+  std::function<void()> call_one = [&, bytes, iters] {
     if (done >= iters) return;
     // User level: syscall entry for trans().
-    cex.post(cex.costs().user_send, [&, call_one, bytes] {
+    cex.post(cex.costs().user_send, [&, bytes] {
       start = world.now();
-      client.call(sa, Buffer(bytes), [&, call_one](Result<Buffer> r) {
+      client.call(sa, Buffer(bytes), [&](Result<Buffer> r) {
         if (!r.ok()) return;
         // Completion wakes the blocked client thread.
-        cex.post(cex.costs().ctx_switch + cex.costs().user_deliver, [&,
-                                                                     call_one] {
+        cex.post(cex.costs().ctx_switch + cex.costs().user_deliver, [&] {
           hist.add(world.now() - start);
           ++done;
-          (*call_one)();
+          call_one();
         });
       });
     });
   };
-  (*call_one)();
+  call_one();
   const Time deadline = world.now() + Duration::seconds(300);
   while (done < iters && world.now() < deadline &&
          world.engine().pending() > 0) {

@@ -17,7 +17,7 @@
 #include <map>
 #include <string>
 
-#include "group/sharded_harness.hpp"
+#include "group/sim_harness.hpp"
 
 using namespace amoeba;
 using namespace amoeba::group;
@@ -89,9 +89,10 @@ int main() {
 
   GroupConfig cfg;
   cfg.resilience = 1;  // updates survive one crash once accepted
-  ShardedHarness h(kStations, kShards, cfg);
+  SimGroupHarness h(kStations, cfg, sim::CostModel::mc68030_ether10(), 1,
+                    kShards);
   h.set_tracing(false);  // application run, no oracle
-  if (!h.form()) {
+  if (!h.form_group()) {
     std::fprintf(stderr, "group formation failed\n");
     return 1;
   }
@@ -99,13 +100,12 @@ int main() {
   // Every station replicates both shards; apply in delivery order.
   std::array<std::array<ShardReplica, kShards>, kStations> replicas;
   for (std::size_t i = 0; i < kStations; ++i) {
-    Node* node = &h.process(i).node();
-    node->set_deliver([&, i, node](std::uint32_t shard, const GroupMessage& gm,
-                                   std::uint64_t) {
-      if (gm.kind != MessageKind::app && gm.kind != MessageKind::xshard) {
+    const Node* node = &h.process(i).node();
+    h.process(i).set_on_deliver([&, i, node](const SimProcess::Delivery& d) {
+      if (d.kind != MessageKind::app && d.kind != MessageKind::xshard) {
         return;  // membership traffic
       }
-      replicas[i][shard].apply(*node, shard, gm.data);
+      replicas[i][d.shard].apply(*node, d.shard, d.data);
     });
   }
 

@@ -161,9 +161,11 @@ struct GroupConfig {
   /// at this shard's sequencer. Off by default: the paper protocol rejects
   /// the new wire types, so Fig 1-8 runs are bit-for-bit unchanged.
   bool cross_shard = false;
-  /// Retry cadence for the Node's xshard_send / xshard_commit exchanges
-  /// (each is one unicast + one reply; lost datagrams are re-sent with the
-  /// same backoff discipline as plain sends).
+  /// Retry cadence and budget for each phase of the Node's xshard_send /
+  /// xshard_commit exchanges (each is one unicast + one reply). The
+  /// sequencer derives its quarantine (4 x retry) and proposal expiry
+  /// (2 x retry x retries) from the same pair, so every shard a Node hosts
+  /// carries the same values.
   Duration xshard_retry = Duration::millis(100);
   int xshard_retries = 10;
 

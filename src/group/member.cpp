@@ -208,32 +208,29 @@ void GroupMember::leave_group(StatusCb done) {
     // piggyback update and status reply.
     check_sequencer_handoff();
   } else {
-    WireMsg m;
-    m.type = WireType::leave_req;
-    m.sender = my_id_;
-    m.piggyback = next_deliver_;
-    send_to_sequencer(std::move(m));
-    // Re-request with send-retry backoff until our leave is ordered.
-    auto attempts = std::make_shared<int>(1);
-    auto retry = std::make_shared<std::function<void()>>();
-    const auto delay = [this, attempts] {
-      return backoff_delay(cfg_.send_retry, *attempts, cfg_.backoff_factor,
-                           cfg_.send_backoff_cap, cfg_.backoff_jitter,
-                           (static_cast<std::uint64_t>(my_id_) << 8) ^
-                               0x6C656176ULL);
-    };
-    *retry = [this, retry, attempts, delay] {
-      if (!leaving_ || state_ != State::running || i_am_sequencer()) return;
-      ++*attempts;
-      WireMsg m2;
-      m2.type = WireType::leave_req;
-      m2.sender = my_id_;
-      m2.piggyback = next_deliver_;
-      send_to_sequencer(std::move(m2));
-      join_timer_ = exec_.set_timer(delay(), *retry);
-    };
-    join_timer_ = exec_.set_timer(delay(), *retry);
+    leave_attempts_ = 1;
+    send_leave_req();
   }
+}
+
+void GroupMember::send_leave_req() {
+  WireMsg m;
+  m.type = WireType::leave_req;
+  m.sender = my_id_;
+  m.piggyback = next_deliver_;
+  send_to_sequencer(std::move(m));
+  // Re-request with send-retry backoff until our leave is ordered.
+  join_timer_ = exec_.set_timer(
+      backoff_delay(cfg_.send_retry, leave_attempts_, cfg_.backoff_factor,
+                    cfg_.send_backoff_cap, cfg_.backoff_jitter,
+                    (static_cast<std::uint64_t>(my_id_) << 8) ^ 0x6C656176ULL),
+      [this] { on_leave_timer(); });
+}
+
+void GroupMember::on_leave_timer() {
+  if (!leaving_ || state_ != State::running || i_am_sequencer()) return;
+  ++leave_attempts_;
+  send_leave_req();
 }
 
 GroupInfo GroupMember::info() const {

@@ -335,6 +335,8 @@ class GroupMember {
   void enter_failed(Status why);
   void finish_join(const Snapshot& snap);
   void on_join_timer();
+  void send_leave_req();  // and arm its retry
+  void on_leave_timer();
   void check_sequencer_handoff();
 
   // --- Recovery (recovery.cpp) ----------------------------------------------
@@ -421,6 +423,7 @@ class GroupMember {
   // (leave) or stays (transfer).
   StatusCb leave_done_;
   bool leaving_{false};
+  int leave_attempts_{0};  // leave_req retries ride join_timer_
   std::optional<MemberId> transfer_to_;  // set: hand off, do not depart
   StatusCb transfer_done_;
 

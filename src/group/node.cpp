@@ -10,10 +10,11 @@
 //                   completes when our local member in every addressed
 //                   shard delivers the injected entry.
 //
-// Both phases retry on a fixed cadence (cfg.xshard_retry) with a bounded
-// budget; each retransmission refreshes the target sequencer address and
-// incarnation from the local member, so rounds survive sequencer hand-offs
-// and ResetGroup recoveries that happen mid-flight. Every message is
+// Both phases retry on a fixed cadence (the hosted shards'
+// GroupConfig::xshard_retry) with a bounded budget (xshard_retries); each
+// retransmission refreshes the target sequencer address and incarnation
+// from the local member, so rounds survive sequencer hand-offs and
+// ResetGroup recoveries that happen mid-flight. Every message is
 // idempotent at the receiver (proposals are remembered, commits dedup
 // against the pending table and the released-xid memory), so blind
 // retransmission is safe.
@@ -33,9 +34,8 @@ constexpr std::size_t kSeenXidMemory = 1u << 16;
 }  // namespace
 
 Node::Node(flip::FlipStack& flip, transport::Executor& exec,
-           flip::Address node_addr, std::uint32_t node_id, Config cfg)
-    : flip_(flip), exec_(exec), addr_(node_addr), node_id_(node_id),
-      cfg_(cfg) {
+           flip::Address node_addr, std::uint32_t node_id)
+    : flip_(flip), exec_(exec), addr_(node_addr), node_id_(node_id) {
   flip_.register_endpoint(addr_, [this](flip::Address src, flip::Address,
                                         BufView bytes) {
     on_node_packet(src, std::move(bytes));
@@ -50,6 +50,10 @@ Node::~Node() {
 GroupMember& Node::add_shard(std::uint32_t tag, flip::Address member_addr,
                              GroupConfig cfg, GroupMember::Callbacks cbs) {
   assert(tag < 32 && shards_.count(tag) == 0);
+  assert(shards_.empty() || (cfg.xshard_retry == xshard_retry_ &&
+                             cfg.xshard_retries == xshard_retries_));
+  xshard_retry_ = cfg.xshard_retry;
+  xshard_retries_ = cfg.xshard_retries;
   cfg.group_tag = tag;
   cfg.cross_shard = true;
   auto [it, inserted] = shards_.try_emplace(tag);
@@ -132,7 +136,7 @@ void Node::send_multi(std::uint32_t mask, Buffer data, StatusCb done) {
   r.data = std::move(data);
   r.done = std::move(done);
   xmit_round(r);
-  r.timer = exec_.set_timer(cfg_.xshard_retry,
+  r.timer = exec_.set_timer(xshard_retry_,
                             [this, xid] { round_timer(xid); });
 }
 
@@ -193,13 +197,13 @@ void Node::round_timer(std::uint64_t xid) {
   if (it == rounds_.end()) return;
   XRound& r = it->second;
   r.timer = transport::kInvalidTimer;
-  if (++r.attempts > cfg_.xshard_retries) {
+  if (++r.attempts > xshard_retries_) {
     finish_round(r, Status::timeout);
     return;
   }
   ++stats_.xretries;
   xmit_round(r);
-  r.timer = exec_.set_timer(cfg_.xshard_retry,
+  r.timer = exec_.set_timer(xshard_retry_,
                             [this, xid] { round_timer(xid); });
 }
 

@@ -43,18 +43,9 @@ struct NodeStats {
   RelaxedCounter xdup_dropped;      // duplicate xid deliveries suppressed
 };
 
-/// Origin-side tunables (the Node drives each cross-shard round).
-struct NodeConfig {
-  /// Retry cadence / budget for each phase of a cross-shard round
-  /// (mirrors GroupConfig::xshard_*; the Node owns the origin side).
-  Duration xshard_retry = Duration::millis(100);
-  int xshard_retries = 10;
-};
-
 class Node {
  public:
   using StatusCb = GroupMember::StatusCb;
-  using Config = NodeConfig;
 
   /// Delivery callback: every message of every hosted shard, after the
   /// Node's unwrapping. For cross-shard messages `xid != 0`, `gm.kind ==
@@ -69,7 +60,7 @@ class Node {
   /// are addressed to it); `node_id` must be unique across Nodes — it is
   /// the high half of every xid this Node coins.
   Node(flip::FlipStack& flip, transport::Executor& exec,
-       flip::Address node_addr, std::uint32_t node_id, Config cfg = {});
+       flip::Address node_addr, std::uint32_t node_id);
   ~Node();
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
@@ -78,8 +69,11 @@ class Node {
   /// endpoint `member_addr`. `cfg.group_tag` / `cfg.cross_shard` are set by
   /// the Node; the given callbacks see view/fault events (and non-xshard
   /// messages), while all deliveries also flow through the Node's
-  /// DeliverFn. Returns the member (owned by the Node) for create/join/
-  /// leave calls.
+  /// DeliverFn. The origin side of every cross-shard round retries on
+  /// `cfg.xshard_retry` / `cfg.xshard_retries`, the same values each
+  /// sequencer's quarantine and proposal expiry derive from, so every
+  /// hosted shard must carry the same pair. Returns the member (owned by
+  /// the Node) for create/join/leave calls.
   GroupMember& add_shard(std::uint32_t tag, flip::Address member_addr,
                          GroupConfig cfg, GroupMember::Callbacks cbs = {});
   GroupMember* shard(std::uint32_t tag);
@@ -155,7 +149,8 @@ class Node {
   transport::Executor& exec_;
   flip::Address addr_;
   std::uint32_t node_id_;
-  Config cfg_;
+  Duration xshard_retry_{};  // from the hosted shards' GroupConfig
+  int xshard_retries_{0};
   DeliverFn deliver_;
   check::TraceRing* trace_ring_{nullptr};
   NodeStats stats_;

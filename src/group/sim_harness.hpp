@@ -1,14 +1,24 @@
-// Simulation harness: a group of Amoeba processes on the simulated testbed.
+// Simulation harness: Amoeba processes on the simulated testbed.
 //
-// Wires one FLIP stack and one GroupMember onto each simulated node, forms
-// the group, and models the user level (the blocking SendToGroup /
-// ReceiveFromGroup pair and its thread context switches) so experiments
-// charge the same per-layer costs the paper's Table 3 reports. Used by the
-// test suite, every bench binary, and the simulator examples.
+// Each SimProcess is one station: a FLIP stack and a fault device over the
+// simulated NIC, and a group::Node hosting the process's member of every
+// group ("shard") of the experiment. A classic single-group run is the
+// one-shard case, where the Node adds nothing: single-shard traffic is the
+// unmodified paper protocol. The process also models the user level (the
+// blocking SendToGroup / ReceiveFromGroup pair and its thread context
+// switches) for every delivery of every shard, so experiments charge the
+// same per-layer costs the paper's Table 3 reports. Used by the test suite,
+// every simulator bench, and the simulator examples.
+//
+// Tracing: each member writes its own ring, collected as "m<i>" (and
+// "m<i>r<k>" after the k-th restart) in a single-group run, or "m<i>.s<s>"
+// per shard with the Node's origin-side events as "n<i>" in a sharded run.
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "check/collector.hpp"
@@ -16,7 +26,7 @@
 #include "flip/stack.hpp"
 #include "group/config.hpp"
 #include "group/durable_log.hpp"
-#include "group/member.hpp"
+#include "group/node.hpp"
 #include "sim/world.hpp"
 #include "storage/mem_storage.hpp"
 #include "transport/fault.hpp"
@@ -24,27 +34,43 @@
 
 namespace amoeba::group {
 
-/// One simulated process: node + stack + member + user-level model.
+/// One simulated process: station + stack + Node + user-level model.
 class SimProcess {
  public:
-  SimProcess(sim::Node& node, flip::Address addr, GroupConfig cfg,
-             std::uint64_t fault_seed = 1);
+  /// One user-level delivery: the message, the shard that delivered it and,
+  /// for a cross-shard message, its xid (0 otherwise).
+  struct Delivery : GroupMessage {
+    std::uint32_t shard{0};
+    std::uint64_t xid{0};
+  };
 
-  sim::Node& node() { return node_; }
+  /// Hosts a member of each of `shards` groups behind one group::Node.
+  /// Shard s's member listens on `addr` + s; the Node's own endpoint is
+  /// `addr` with bit 40 set.
+  SimProcess(sim::Node& node, flip::Address addr, GroupConfig cfg,
+             std::uint64_t fault_seed = 1, std::uint32_t shards = 1);
+
+  sim::Node& sim_node() { return sim_node_; }
+  Node& node() { return *node_; }
   transport::SimExecutor& exec() { return exec_; }
   flip::FlipStack& flip() { return flip_; }
-  GroupMember& member() { return *member_; }
+  GroupMember& member(std::uint32_t shard = 0) { return *node_->shard(shard); }
   /// The fault interposer between the FLIP stack and the simulated NIC.
   /// Inactive (single-branch passthrough) until given a plan or schedule.
   transport::FaultDevice& faults() { return faults_; }
-  /// This process's structured event ring (attached to the member by the
-  /// harness; drained through the harness collector). A restart swaps in a
-  /// fresh ring — the old one's events live on in the collector.
-  check::TraceRing& trace_ring() { return *trace_ring_; }
+  /// Shard `shard`'s structured event ring (drained through the harness
+  /// collector). A restart swaps in a fresh ring — the old one's events
+  /// live on in the collector.
+  check::TraceRing& trace_ring(std::uint32_t shard = 0) {
+    return *rings_.at(shard);
+  }
+  /// The Node's ring: cross-shard xsend admissions and completions.
+  check::TraceRing& node_ring() { return *node_ring_; }
 
   /// Give this process a durable log over its own (crash-surviving)
   /// in-memory storage and attach it to the member. Must be paired with a
   /// GroupConfig whose `durability` is not `off` for the member to use it.
+  /// Durability and restart are single-shard only.
   void enable_durability();
   storage::MemStorage* storage() { return storage_.get(); }
   DurableLog* durable_log() { return log_.get(); }
@@ -67,53 +93,65 @@ class SimProcess {
   /// protocol send; `done` fires when the send completes.
   void user_send(Buffer data, GroupMember::StatusCb done);
 
-  /// All messages delivered to this process, in order.
-  const std::vector<GroupMessage>& delivered() const { return delivered_; }
+  /// All messages delivered to this process, of every shard, in order.
+  const std::vector<Delivery>& delivered() const { return delivered_; }
   std::uint64_t delivered_count() const { return delivered_.size(); }
   /// Retain only per-message counters, not payloads (long throughput runs).
   void set_keep_payloads(bool keep) { keep_payloads_ = keep; }
 
-  /// Views observed (create/join/leave/expel/recovery).
-  const std::vector<ViewChange>& views() const { return views_; }
-  /// Local failure notification, if any.
-  std::optional<Status> fault() const { return fault_; }
+  /// Views of shard `shard` observed (create/join/leave/expel/recovery).
+  const std::vector<ViewChange>& views(std::uint32_t shard = 0) const {
+    return shard_state_.at(shard).views;
+  }
+  /// Last failure notification of shard `shard`'s member, if any.
+  std::optional<Status> fault(std::uint32_t shard = 0) const {
+    return shard_state_.at(shard).fault;
+  }
 
   /// Hook invoked (in executor context) after each user-level delivery.
-  void set_on_deliver(std::function<void(const GroupMessage&)> fn) {
+  void set_on_deliver(std::function<void(const Delivery&)> fn) {
     on_deliver_ = std::move(fn);
   }
 
  private:
-  void make_member();
+  struct ShardState {
+    std::vector<ViewChange> views;
+    std::optional<Status> fault;
+  };
 
-  sim::Node& node_;
+  void make_node();
+  void user_deliver(std::uint32_t shard, const GroupMessage& m,
+                    std::uint64_t xid);
+
+  sim::Node& sim_node_;
   flip::Address addr_;
   GroupConfig cfg_;
-  std::unique_ptr<check::TraceRing> trace_ring_;
+  std::vector<std::unique_ptr<check::TraceRing>> rings_;  // by shard
+  std::unique_ptr<check::TraceRing> node_ring_;
   transport::SimExecutor exec_;
   transport::SimDevice dev_;
   transport::FaultDevice faults_;
   flip::FlipStack flip_;
   std::unique_ptr<storage::MemStorage> storage_;
   std::unique_ptr<DurableLog> log_;
-  std::unique_ptr<GroupMember> member_;
+  std::unique_ptr<Node> node_;
 
-  std::vector<GroupMessage> delivered_;
-  std::vector<ViewChange> views_;
-  std::optional<Status> fault_;
-  std::function<void(const GroupMessage&)> on_deliver_;
+  std::vector<Delivery> delivered_;
+  std::vector<ShardState> shard_state_;
+  std::function<void(const Delivery&)> on_deliver_;
   bool keep_payloads_{true};
-  Time last_delivery_{-1'000'000'000};
 };
 
-/// A whole experiment: N nodes on one Ethernet, one group across them.
+/// A whole experiment: N processes on one Ethernet, each hosting a member
+/// of every one of S groups ("shards"; one by default).
 class SimGroupHarness {
  public:
   SimGroupHarness(std::size_t n_processes, GroupConfig cfg,
                   sim::CostModel model = sim::CostModel::mc68030_ether10(),
-                  std::uint64_t seed = 1);
+                  std::uint64_t seed = 1, std::uint32_t shards = 1);
 
-  /// Process 0 creates the group; 1..n-1 join. Runs the engine until the
+  /// Process (s mod N) creates shard s, so sequencer roles spread over the
+  /// stations; every other process joins. Runs the engine until every
   /// group is fully formed. Returns false if formation failed.
   bool form_group();
 
@@ -121,14 +159,21 @@ class SimGroupHarness {
   sim::Engine& engine() { return world_.engine(); }
   SimProcess& process(std::size_t i) { return *procs_.at(i); }
   std::size_t size() const { return procs_.size(); }
-  flip::Address group_addr() const { return gaddr_; }
+  flip::Address group_addr(std::uint32_t shard = 0) const {
+    return flip::group_address(0x6702 + shard);
+  }
 
   /// Add another process (e.g. a late joiner) on a fresh node.
   SimProcess& add_process();
 
-  /// Current collector label of process i ("m0" for its first life,
-  /// "m0r1", "m0r2", ... after restarts).
-  const std::string& label(std::size_t i) const { return labels_.at(i); }
+  /// Current collector label of process i's member of `shard` ("m0" for
+  /// its first life, "m0r1", "m0r2", ... after restarts; "m0.s1" for shard
+  /// 1 of a sharded run).
+  std::string label(std::size_t i, std::uint32_t shard = 0) const;
+  /// Collector label of process i's Node ring (sharded runs only).
+  std::string node_label(std::size_t i) const {
+    return "n" + std::to_string(i);
+  }
 
   /// Crash process i with its disk (see SimProcess::crash_with_disk).
   void crash_process(std::size_t i,
@@ -147,7 +192,7 @@ class SimGroupHarness {
   bool run_until(const std::function<bool()>& pred, Duration deadline);
 
   /// The collected structured event history of the run so far (rings are
-  /// drained on every run_until step; labels are "m0", "m1", ...).
+  /// drained on every run_until step).
   check::TraceCollector& traces() { return collector_; }
 
   /// Run the ConformanceOracle over everything traced so far. first_seq is
@@ -159,11 +204,15 @@ class SimGroupHarness {
   void set_tracing(bool on);
 
  private:
+  SimProcess& add_station(sim::Node& node);
+  /// Point process i's rings at its members and collect them (on), or
+  /// unhook them (off).
+  void trace(std::size_t i, bool on);
+
   GroupConfig cfg_;
+  std::uint32_t shards_;
   sim::World world_;
-  flip::Address gaddr_;
   std::vector<std::unique_ptr<SimProcess>> procs_;
-  std::vector<std::string> labels_;
   std::vector<int> restart_counts_;
   check::TraceCollector collector_;
   bool tracing_{true};

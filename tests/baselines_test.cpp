@@ -100,21 +100,18 @@ TEST(ChangMaxemchuk, TokenRotatesPerMessage) {
 TEST(ChangMaxemchuk, TotalOrderWithConcurrentSenders) {
   CmHarness h(4);
   int completed = 0;
-  for (std::size_t p = 0; p < 4; ++p) {
-    auto next = std::make_shared<std::function<void(int)>>();
-    *next = [&h, &completed, p, next](int k) {
-      if (k >= 10) return;
-      Buffer b(4);
-      b[0] = static_cast<std::uint8_t>(p);
-      b[1] = static_cast<std::uint8_t>(k);
-      h.procs[p]->member->send(std::move(b), [&completed, k, next](Status s) {
-        ASSERT_EQ(s, Status::ok);
-        ++completed;
-        (*next)(k + 1);
-      });
-    };
-    (*next)(0);
-  }
+  std::function<void(std::size_t, int)> next = [&](std::size_t p, int k) {
+    if (k >= 10) return;
+    Buffer b(4);
+    b[0] = static_cast<std::uint8_t>(p);
+    b[1] = static_cast<std::uint8_t>(k);
+    h.procs[p]->member->send(std::move(b), [&, p, k](Status s) {
+      ASSERT_EQ(s, Status::ok);
+      ++completed;
+      next(p, k + 1);
+    });
+  };
+  for (std::size_t p = 0; p < 4; ++p) next(p, 0);
   ASSERT_TRUE(h.run_until(
       [&] {
         if (completed < 40) return false;
@@ -140,18 +137,14 @@ TEST(ChangMaxemchuk, RecoversFromFrameLoss) {
   CmHarness h(3);
   h.world.segment().set_fault_plan(sim::FaultPlan{.loss_prob = 0.08});
   int completed = 0;
-  for (std::size_t p = 0; p < 3; ++p) {
-    auto next = std::make_shared<std::function<void(int)>>();
-    *next = [&h, &completed, p, next](int k) {
-      if (k >= 10) return;
-      h.procs[p]->member->send(make_pattern_buffer(20),
-                               [&completed, k, next](Status s) {
-                                 if (s == Status::ok) ++completed;
-                                 (*next)(k + 1);
-                               });
-    };
-    (*next)(0);
-  }
+  std::function<void(std::size_t, int)> next = [&](std::size_t p, int k) {
+    if (k >= 10) return;
+    h.procs[p]->member->send(make_pattern_buffer(20), [&, p, k](Status s) {
+      if (s == Status::ok) ++completed;
+      next(p, k + 1);
+    });
+  };
+  for (std::size_t p = 0; p < 3; ++p) next(p, 0);
   ASSERT_TRUE(h.run_until(
       [&] {
         if (completed < 30) return false;

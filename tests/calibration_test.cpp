@@ -23,8 +23,7 @@ double delay_us(std::size_t members, std::size_t bytes, Method method,
   int done = 0;
   Time start{};
   const MemberId my = h.process(1).member().info().my_id;
-  auto send_one = std::make_shared<std::function<void()>>();
-  *send_one = [&, send_one] {
+  std::function<void()> send_one = [&] {
     if (done >= iters) return;
     start = h.engine().now();
     h.process(1).user_send(make_pattern_buffer(bytes), [](Status) {});
@@ -33,10 +32,10 @@ double delay_us(std::size_t members, std::size_t bytes, Method method,
     if (m.kind == MessageKind::app && m.sender == my) {
       hist.add(h.engine().now() - start);
       ++done;
-      (*send_one)();
+      send_one();
     }
   });
-  (*send_one)();
+  send_one();
   h.run_until([&] { return done >= iters; }, Duration::seconds(300));
   return hist.mean();
 }
@@ -53,17 +52,16 @@ double throughput(std::size_t members, std::size_t batch_count = 1,
     h.process(p).set_keep_payloads(false);
   }
   std::uint64_t completed = 0;
+  std::function<void(std::size_t)> loop = [&](std::size_t p) {
+    h.process(p).user_send(Buffer{}, [&, p](Status s) {
+      if (s == Status::ok) ++completed;
+      loop(p);
+    });
+  };
   for (std::size_t p = 0; p < members; ++p) {
-    auto loop = std::make_shared<std::function<void()>>();
-    *loop = [&h, &completed, p, loop] {
-      h.process(p).user_send(Buffer{}, [&completed, loop](Status s) {
-        if (s == Status::ok) ++completed;
-        (*loop)();
-      });
-    };
     // One chain per window slot: `window` sends stay in flight per member
     // (window 1 = the paper's blocking sender).
-    for (int w = 0; w < window; ++w) (*loop)();
+    for (int w = 0; w < window; ++w) loop(p);
   }
   h.run_until([] { return false; }, Duration::seconds(1));
   const std::uint64_t warm = completed;

@@ -238,16 +238,15 @@ TEST(InternetGroup, TotalOrderSpansSegments) {
     ASSERT_EQ(s, Status::ok);
     ++formed;
   });
-  auto join_next = std::make_shared<std::function<void(std::size_t)>>();
-  *join_next = [&, join_next](std::size_t i) {
+  std::function<void(std::size_t)> join_next = [&](std::size_t i) {
     if (i >= procs.size()) return;
-    procs[i]->member().join_group(gaddr, [&, i, join_next](Status s) {
+    procs[i]->member().join_group(gaddr, [&, i](Status s) {
       ASSERT_EQ(s, Status::ok) << "join of member " << i;
       ++formed;
-      (*join_next)(i + 1);
+      join_next(i + 1);
     });
   };
-  (*join_next)(1);
+  join_next(1);
 
   const Time deadline = engine.now() + Duration::seconds(60);
   while (formed < 5 && engine.now() < deadline && engine.pending() > 0) {
@@ -257,21 +256,18 @@ TEST(InternetGroup, TotalOrderSpansSegments) {
 
   // Concurrent senders on both segments.
   int completed = 0;
-  for (const std::size_t p : {std::size_t{1}, std::size_t{4}}) {
-    auto pump = std::make_shared<std::function<void(int)>>();
-    *pump = [&, p, pump](int k) {
-      if (k >= 10) return;
-      Buffer b(2);
-      b[0] = static_cast<std::uint8_t>(p);
-      b[1] = static_cast<std::uint8_t>(k);
-      procs[p]->user_send(std::move(b), [&, k, pump](Status s) {
-        ASSERT_EQ(s, Status::ok);
-        ++completed;
-        (*pump)(k + 1);
-      });
-    };
-    (*pump)(0);
-  }
+  std::function<void(std::size_t, int)> pump = [&](std::size_t p, int k) {
+    if (k >= 10) return;
+    Buffer b(2);
+    b[0] = static_cast<std::uint8_t>(p);
+    b[1] = static_cast<std::uint8_t>(k);
+    procs[p]->user_send(std::move(b), [&, p, k](Status s) {
+      ASSERT_EQ(s, Status::ok);
+      ++completed;
+      pump(p, k + 1);
+    });
+  };
+  for (const std::size_t p : {std::size_t{1}, std::size_t{4}}) pump(p, 0);
   const Time deadline2 = engine.now() + Duration::seconds(120);
   while (engine.now() < deadline2 && engine.pending() > 0) {
     engine.run_steps(64);

@@ -33,16 +33,15 @@ TEST(GroupAdversarial, LazarusSequencerCannotCorruptTheNewIncarnation) {
   ASSERT_TRUE(h.form_group());
 
   int sent = 0;
-  auto pump = std::make_shared<std::function<void(std::size_t, int, int)>>();
-  *pump = [&, pump](std::size_t p, int k, int limit) {
+  std::function<void(std::size_t, int, int)> pump = [&](std::size_t p, int k,
+                                                        int limit) {
     if (k >= limit) return;
-    h.process(p).user_send(make_pattern_buffer(16), [&, p, k, limit,
-                                                     pump](Status s) {
+    h.process(p).user_send(make_pattern_buffer(16), [&, p, k, limit](Status s) {
       if (s == Status::ok) ++sent;
-      (*pump)(p, k + 1, limit);
+      pump(p, k + 1, limit);
     });
   };
-  (*pump)(1, 0, 10);
+  pump(1, 0, 10);
   ASSERT_TRUE(h.run_until([&] { return sent == 10; }, Duration::seconds(30)));
 
   h.world().node(0).crash();
@@ -68,7 +67,7 @@ TEST(GroupAdversarial, LazarusSequencerCannotCorruptTheNewIncarnation) {
   h.process(0).member().send_to_group(make_pattern_buffer(8), [](Status) {});
 
   // Meanwhile the live incarnation keeps working...
-  (*pump)(2, 0, 10);
+  pump(2, 0, 10);
   ASSERT_TRUE(h.run_until([&] { return sent == 20; }, Duration::seconds(60)));
   h.run_until([] { return false; }, Duration::millis(200));
 
@@ -106,17 +105,14 @@ TEST_P(RecoveryMatrix, CrashAndRebuildUnderEveryMethod) {
   ASSERT_TRUE(h.form_group());
 
   int sent = 0;
-  for (const std::size_t p : {std::size_t{2}, std::size_t{3}}) {
-    auto pump = std::make_shared<std::function<void(int)>>();
-    *pump = [&, p, pump](int k) {
-      if (k >= 15) return;
-      h.process(p).user_send(make_pattern_buffer(700), [&, k, pump](Status s) {
-        if (s == Status::ok) ++sent;
-        (*pump)(k + 1);
-      });
-    };
-    (*pump)(0);
-  }
+  std::function<void(std::size_t, int)> pump = [&](std::size_t p, int k) {
+    if (k >= 15) return;
+    h.process(p).user_send(make_pattern_buffer(700), [&, p, k](Status s) {
+      if (s == Status::ok) ++sent;
+      pump(p, k + 1);
+    });
+  };
+  for (const std::size_t p : {std::size_t{2}, std::size_t{3}}) pump(p, 0);
   ASSERT_TRUE(h.run_until([&] { return sent == 30; }, Duration::seconds(60)));
 
   h.world().node(0).crash();
@@ -171,15 +167,14 @@ TEST(GroupAdversarial, ResetWhileHealthyIsHarmless) {
   SimGroupHarness h(3, fast_cfg());
   ASSERT_TRUE(h.form_group());
   int sent = 0;
-  auto pump = std::make_shared<std::function<void(int)>>();
-  *pump = [&, pump](int k) {
+  std::function<void(int)> pump = [&](int k) {
     if (k >= 20) return;
-    h.process(1).user_send(make_pattern_buffer(8), [&, k, pump](Status s) {
+    h.process(1).user_send(make_pattern_buffer(8), [&, k](Status s) {
       if (s == Status::ok) ++sent;
-      (*pump)(k + 1);
+      pump(k + 1);
     });
   };
-  (*pump)(0);
+  pump(0);
 
   std::optional<std::uint32_t> size;
   h.engine().schedule(Duration::millis(15), [&] {

@@ -72,23 +72,21 @@ TEST(GroupBasic, TotalOrderWithConcurrentSenders) {
 
   constexpr int kPerSender = 20;
   int completed = 0;
-  for (std::size_t p = 0; p < h.size(); ++p) {
-    // Chain sends: each process sends its next message when the previous
-    // completes (the blocking-primitive pattern).
-    auto send_next = std::make_shared<std::function<void(int)>>();
-    *send_next = [&, p, send_next](int k) {
-      if (k >= kPerSender) return;
-      Buffer b(8);
-      b[0] = static_cast<std::uint8_t>(p);
-      b[1] = static_cast<std::uint8_t>(k);
-      h.process(p).user_send(std::move(b), [&, k, send_next](Status s) {
-        ASSERT_EQ(s, Status::ok);
-        ++completed;
-        (*send_next)(k + 1);
-      });
-    };
-    (*send_next)(0);
-  }
+  // Chain sends: each process sends its next message when the previous
+  // completes (the blocking-primitive pattern).
+  std::function<void(std::size_t, int)> send_next = [&](std::size_t p,
+                                                        int k) {
+    if (k >= kPerSender) return;
+    Buffer b(8);
+    b[0] = static_cast<std::uint8_t>(p);
+    b[1] = static_cast<std::uint8_t>(k);
+    h.process(p).user_send(std::move(b), [&, p, k](Status s) {
+      ASSERT_EQ(s, Status::ok);
+      ++completed;
+      send_next(p, k + 1);
+    });
+  };
+  for (std::size_t p = 0; p < h.size(); ++p) send_next(p, 0);
 
   const auto total = static_cast<int>(h.size()) * kPerSender;
   ASSERT_TRUE(h.run_until(

@@ -18,18 +18,14 @@ std::size_t app_count(const SimProcess& p) {
 }
 
 void pump_sends(SimGroupHarness& h, std::size_t proc, int count,
-                int* completed, std::size_t bytes = 16) {
-  auto send_next = std::make_shared<std::function<void(int)>>();
-  *send_next = [&h, proc, count, completed, bytes, send_next](int k) {
-    if (k >= count) return;
-    h.process(proc).user_send(make_pattern_buffer(bytes),
-                              [completed, k, send_next, &h, proc,
-                               count](Status s) {
-                                if (s == Status::ok) ++*completed;
-                                (*send_next)(k + 1);
-                              });
-  };
-  (*send_next)(0);
+                int* completed, std::size_t bytes = 16, int k = 0) {
+  if (k >= count) return;
+  h.process(proc).user_send(
+      make_pattern_buffer(bytes),
+      [&h, proc, count, completed, bytes, k](Status s) {
+        if (s == Status::ok) ++*completed;
+        pump_sends(h, proc, count, completed, bytes, k + 1);
+      });
 }
 
 bool all_delivered(SimGroupHarness& h, std::size_t expect) {

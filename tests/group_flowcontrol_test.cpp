@@ -71,18 +71,14 @@ TEST(GroupFlowControl, ConcurrentLargeSendersAreAdmittedInTurn) {
   SimGroupHarness h(8, fc_cfg());
   ASSERT_TRUE(h.form_group());
   int completed = 0;
-  for (std::size_t p = 0; p < 8; ++p) {
-    auto pump = std::make_shared<std::function<void(int)>>();
-    *pump = [&, p, pump](int k) {
-      if (k >= 5) return;
-      h.process(p).user_send(make_pattern_buffer(4096),
-                             [&, k, pump](Status s) {
-                               if (s == Status::ok) ++completed;
-                               (*pump)(k + 1);
-                             });
-    };
-    (*pump)(0);
-  }
+  std::function<void(std::size_t, int)> pump = [&](std::size_t p, int k) {
+    if (k >= 5) return;
+    h.process(p).user_send(make_pattern_buffer(4096), [&, p, k](Status s) {
+      if (s == Status::ok) ++completed;
+      pump(p, k + 1);
+    });
+  };
+  for (std::size_t p = 0; p < 8; ++p) pump(p, 0);
   ASSERT_TRUE(h.run_until(
       [&] {
         if (completed < 40) return false;
@@ -106,15 +102,11 @@ TEST(GroupFlowControl, WithoutItTheSameLoadOverflows) {
   ASSERT_TRUE(h.form_group());
   // Sustained pressure, like the paper's throughput experiment: every
   // member keeps sending for 3 simulated seconds.
-  for (std::size_t p = 0; p < 8; ++p) {
-    auto pump = std::make_shared<std::function<void()>>();
-    *pump = [&, p, pump] {
-      h.process(p).user_send(make_pattern_buffer(8000), [pump](Status) {
-        (*pump)();
-      });
-    };
-    (*pump)();
-  }
+  std::function<void(std::size_t)> pump = [&](std::size_t p) {
+    h.process(p).user_send(make_pattern_buffer(8000),
+                           [&, p](Status) { pump(p); });
+  };
+  for (std::size_t p = 0; p < 8; ++p) pump(p);
   h.run_until([] { return false; }, Duration::seconds(3));
   std::uint64_t drops = 0, stalls = 0, retrans = 0;
   for (std::size_t p = 0; p < 8; ++p) {
@@ -134,15 +126,14 @@ TEST(GroupFlowControl, GrantSurvivesLostCts) {
   ASSERT_TRUE(h.form_group());
   h.world().segment().set_fault_plan(sim::FaultPlan{.loss_prob = 0.10});
   int completed = 0;
-  auto pump = std::make_shared<std::function<void(int)>>();
-  *pump = [&, pump](int k) {
+  std::function<void(int)> pump = [&](int k) {
     if (k >= 8) return;
-    h.process(1).user_send(make_pattern_buffer(6000), [&, k, pump](Status s) {
+    h.process(1).user_send(make_pattern_buffer(6000), [&, k](Status s) {
       if (s == Status::ok) ++completed;
-      (*pump)(k + 1);
+      pump(k + 1);
     });
   };
-  (*pump)(0);
+  pump(0);
   ASSERT_TRUE(h.run_until([&] { return completed == 8; },
                           Duration::seconds(300)))
       << "RTS/CTS retries must ride the ordinary send-retry machinery";
@@ -167,17 +158,16 @@ TEST(GroupFlowControl, CrashedGrantHolderDoesNotWedgeTheQueue) {
   // member gets expelled (history pressure from small traffic), which
   // releases its slot.
   int completed = 0;
-  auto pump = std::make_shared<std::function<void(int)>>();
-  *pump = [&, pump](int k) {
+  std::function<void(int)> pump = [&](int k) {
     if (k >= 40) return;
     // Mix small traffic (builds expel pressure) with a large send.
     const std::size_t bytes = k == 20 ? 8000u : 16u;
-    h.process(1).user_send(make_pattern_buffer(bytes), [&, k, pump](Status s) {
+    h.process(1).user_send(make_pattern_buffer(bytes), [&, k](Status s) {
       if (s == Status::ok) ++completed;
-      (*pump)(k + 1);
+      pump(k + 1);
     });
   };
-  (*pump)(0);
+  pump(0);
   ASSERT_TRUE(h.run_until(
       [&] {
         return completed == 40 && h.process(0).member().info().size() == 3;

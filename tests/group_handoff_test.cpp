@@ -89,15 +89,14 @@ TEST(GroupHandoff, TransferDuringTrafficDrainsFirst) {
 
   // Keep a sender busy while the transfer is requested.
   int sent = 0;
-  auto next = std::make_shared<std::function<void(int)>>();
-  *next = [&, next](int k) {
+  std::function<void(int)> next = [&](int k) {
     if (k >= 30) return;
-    h.process(2).user_send(make_pattern_buffer(16), [&, k, next](Status s) {
+    h.process(2).user_send(make_pattern_buffer(16), [&, k](Status s) {
       if (s == Status::ok) ++sent;
-      (*next)(k + 1);
+      next(k + 1);
     });
   };
-  (*next)(0);
+  next(0);
 
   std::optional<Status> transferred;
   h.engine().schedule(Duration::millis(10), [&] {

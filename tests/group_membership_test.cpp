@@ -12,15 +12,14 @@ TEST(GroupMembership, JoinDuringHeavyTraffic) {
   ASSERT_TRUE(h.form_group());
 
   int sent = 0;
-  auto next = std::make_shared<std::function<void(int)>>();
-  *next = [&, next](int k) {
+  std::function<void(int)> next = [&](int k) {
     if (k >= 60) return;
-    h.process(1).user_send(make_pattern_buffer(64), [&, k, next](Status s) {
+    h.process(1).user_send(make_pattern_buffer(64), [&, k](Status s) {
       if (s == Status::ok) ++sent;
-      (*next)(k + 1);
+      next(k + 1);
     });
   };
-  (*next)(0);
+  next(0);
 
   // Joiner arrives mid-stream.
   SimProcess& late = h.add_process();
@@ -172,15 +171,14 @@ TEST(GroupMembership, RejoinAfterExpulsion) {
   // fresh member.
   h.world().node(2).charge(Duration::seconds(2));
   int sent = 0;
-  auto next = std::make_shared<std::function<void(int)>>();
-  *next = [&, next](int k) {
+  std::function<void(int)> next = [&](int k) {
     if (k >= 40) return;
-    h.process(1).user_send(make_pattern_buffer(8), [&, k, next](Status s) {
+    h.process(1).user_send(make_pattern_buffer(8), [&, k](Status s) {
       if (s == Status::ok) ++sent;
-      (*next)(k + 1);
+      next(k + 1);
     });
   };
-  (*next)(0);
+  next(0);
 
   ASSERT_TRUE(h.run_until(
       [&] { return h.process(2).fault().has_value(); }, Duration::seconds(60)));

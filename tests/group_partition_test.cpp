@@ -128,15 +128,14 @@ TEST_F(PartitionFixture, SplitBrainIsContainedByIncarnations) {
   // A side expels the unreachable B members under history pressure, or
   // just keeps running (the sequencer is alive on A).
   int a_sent = 0;
-  auto pump = std::make_shared<std::function<void(int)>>();
-  *pump = [&, pump](int k) {
+  std::function<void(int)> pump = [&](int k) {
     if (k >= 10) return;
-    procs[1]->user_send(make_pattern_buffer(4), [&, k, pump](Status s) {
+    procs[1]->user_send(make_pattern_buffer(4), [&, k](Status s) {
       if (s == Status::ok) ++a_sent;
-      (*pump)(k + 1);
+      pump(k + 1);
     });
   };
-  (*pump)(0);
+  pump(0);
   ASSERT_TRUE(run_until([&] { return a_sent == 10; }, Duration::seconds(60)));
 
   // Heal the network. The two incarnations now share a wire — and MUST
@@ -196,15 +195,14 @@ TEST_F(PartitionFixture, MinorityRejoinsMajorityAfterHeal) {
   // Majority side expels the missing members so its view converges.
   // (Drive traffic so the failure detector has pressure to act on.)
   int a_sent = 0;
-  auto pump = std::make_shared<std::function<void(int)>>();
-  *pump = [&, pump](int k) {
+  std::function<void(int)> pump = [&](int k) {
     if (k >= 150) return;
-    procs[1]->user_send(make_pattern_buffer(4), [&, k, pump](Status s) {
+    procs[1]->user_send(make_pattern_buffer(4), [&, k](Status s) {
       if (s == Status::ok) ++a_sent;
-      (*pump)(k + 1);
+      pump(k + 1);
     });
   };
-  (*pump)(0);
+  pump(0);
   ASSERT_TRUE(run_until(
       [&] { return procs[0]->member().info().size() == 3 && a_sent >= 150; },
       Duration::seconds(120)));

@@ -63,16 +63,15 @@ TEST(GroupPipeline, WindowSpeedsUpASingleSender) {
     int done = 0;
     constexpr int kTotal = 150;
     int issued = 0;
-    auto issue = std::make_shared<std::function<void()>>();
-    *issue = [&h, &done, &issued, issue] {
+    std::function<void()> issue = [&h, &done, &issued, &issue] {
       if (issued >= kTotal) return;
       ++issued;
-      h.process(1).user_send(Buffer{}, [&done, issue](Status s) {
+      h.process(1).user_send(Buffer{}, [&done, &issue](Status s) {
         if (s == Status::ok) ++done;
-        (*issue)();
+        issue();
       });
     };
-    for (int k = 0; k < window; ++k) (*issue)();
+    for (int k = 0; k < window; ++k) issue();
     const Time t0 = h.engine().now();
     h.run_until([&] { return done == kTotal; }, Duration::seconds(120));
     if (done < kTotal) return -1.0;

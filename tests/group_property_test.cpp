@@ -59,26 +59,21 @@ TEST_P(GroupProperty, SafetyInvariantsHold) {
   // (sender, k).
   int completed = 0;
   std::vector<int> completed_per(p.members, 0);
-  for (std::size_t proc = 0; proc < p.members; ++proc) {
-    auto next = std::make_shared<std::function<void(int)>>();
-    *next = [&h, &completed, &completed_per, proc, next,
-             per = p.per_sender](int k) {
-      if (k >= per) return;
-      Buffer b(8);
-      b[0] = static_cast<std::uint8_t>(proc);
-      b[1] = static_cast<std::uint8_t>(k);
-      b[2] = static_cast<std::uint8_t>(k >> 8);
-      h.process(proc).user_send(
-          std::move(b), [&completed, &completed_per, proc, k, next](Status s) {
-            if (s == Status::ok) {
-              ++completed;
-              ++completed_per[proc];
-            }
-            (*next)(k + 1);
-          });
-    };
-    (*next)(0);
-  }
+  std::function<void(std::size_t, int)> next = [&](std::size_t proc, int k) {
+    if (k >= p.per_sender) return;
+    Buffer b(8);
+    b[0] = static_cast<std::uint8_t>(proc);
+    b[1] = static_cast<std::uint8_t>(k);
+    b[2] = static_cast<std::uint8_t>(k >> 8);
+    h.process(proc).user_send(std::move(b), [&, proc, k](Status s) {
+      if (s == Status::ok) {
+        ++completed;
+        ++completed_per[proc];
+      }
+      next(proc, k + 1);
+    });
+  };
+  for (std::size_t proc = 0; proc < p.members; ++proc) next(proc, 0);
 
   const int total = static_cast<int>(p.members) * p.per_sender;
   const bool finished = h.run_until(

@@ -38,19 +38,17 @@ void expect_conformant(SimGroupHarness& h,
   EXPECT_TRUE(v.ok()) << v.to_string() << h.traces().dump_text(200);
 }
 
-void pump(SimGroupHarness& h, std::size_t proc, int count, int* ok_count) {
-  auto next = std::make_shared<std::function<void(int)>>();
-  *next = [&h, proc, count, ok_count, next](int k) {
-    if (k >= count) return;
-    Buffer b(4);
-    b[0] = static_cast<std::uint8_t>(proc);
-    b[1] = static_cast<std::uint8_t>(k);
-    h.process(proc).user_send(std::move(b), [ok_count, k, next](Status s) {
-      if (s == Status::ok) ++*ok_count;
-      (*next)(k + 1);
-    });
-  };
-  (*next)(0);
+void pump(SimGroupHarness& h, std::size_t proc, int count, int* ok_count,
+          int k = 0) {
+  if (k >= count) return;
+  Buffer b(4);
+  b[0] = static_cast<std::uint8_t>(proc);
+  b[1] = static_cast<std::uint8_t>(k);
+  h.process(proc).user_send(std::move(b),
+                            [&h, proc, count, ok_count, k](Status s) {
+                              if (s == Status::ok) ++*ok_count;
+                              pump(h, proc, count, ok_count, k + 1);
+                            });
 }
 
 TEST(GroupRecovery, SequencerCrashThenResetElectsNewSequencer) {

@@ -4,14 +4,21 @@
 // The deterministic counterparts of the seed-swept sharded property test:
 // formation, single-shard traffic through the unmodified protocol,
 // exactly-once cross-shard delivery, genuineness (non-addressed shards do
-// zero work), the single-bit fast path, and recovery of a cross-shard
-// workload after a shard sequencer's station crashes.
+// zero work), the single-bit fast path, recovery of a cross-shard workload
+// after a shard sequencer's station crashes, and the origin's retry budget.
+//
+// NodeHosting checks the two modelling facts SimGroupHarness rests on: a
+// member hosted by a one-shard Node runs exactly the protocol a bare
+// GroupMember runs, and every shard's delivery pays the user-level receive
+// cost.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
+#include <tuple>
 
 #include "check/trace.hpp"
-#include "group/sharded_harness.hpp"
+#include "group/sim_harness.hpp"
 
 namespace amoeba::group {
 namespace {
@@ -27,6 +34,13 @@ GroupConfig quick_cfg(std::uint32_t resilience = 0) {
   return cfg;
 }
 
+/// P processes hosting a member of each of S shards (the harness seed 1).
+SimGroupHarness sharded(std::size_t procs, std::uint32_t shards,
+                        const GroupConfig& cfg = quick_cfg()) {
+  return SimGroupHarness(procs, cfg, sim::CostModel::mc68030_ether10(), 1,
+                         shards);
+}
+
 Buffer tagged(std::uint8_t a, std::uint8_t b) {
   Buffer buf(8);
   buf[0] = a;
@@ -35,8 +49,8 @@ Buffer tagged(std::uint8_t a, std::uint8_t b) {
 }
 
 TEST(Sharded, FormsAndDeliversSingleShardTraffic) {
-  ShardedHarness h(3, 2, quick_cfg());
-  ASSERT_TRUE(h.form());
+  SimGroupHarness h = sharded(3, 2);
+  ASSERT_TRUE(h.form_group());
 
   int done = 0;
   std::vector<std::uint64_t> fps;
@@ -60,7 +74,7 @@ TEST(Sharded, FormsAndDeliversSingleShardTraffic) {
     std::map<std::uint64_t, int> seen;
     for (const auto& d : h.process(i).delivered()) {
       EXPECT_EQ(d.xid, 0u);
-      ++seen[d.fp];
+      ++seen[check::fingerprint(d.data)];
     }
     for (const std::uint64_t fp : fps) EXPECT_EQ(seen[fp], 1) << "n" << i;
     EXPECT_EQ(h.process(i).node().stats().xsends.load(), 0u);
@@ -70,7 +84,7 @@ TEST(Sharded, FormsAndDeliversSingleShardTraffic) {
 }
 
 TEST(Sharded, RouteIsDeterministicAndCoversShards) {
-  ShardedHarness h(2, 4, quick_cfg());
+  SimGroupHarness h = sharded(2, 4);
   std::map<std::uint32_t, int> hits;
   for (int k = 0; k < 64; ++k) {
     Buffer key(4);
@@ -85,16 +99,16 @@ TEST(Sharded, RouteIsDeterministicAndCoversShards) {
 }
 
 TEST(Sharded, CrossShardDeliversExactlyOncePerShard) {
-  ShardedHarness h(3, 2, quick_cfg());
-  ASSERT_TRUE(h.form());
+  SimGroupHarness h = sharded(3, 2);
+  ASSERT_TRUE(h.form_group());
 
   int done = 0;
   constexpr int kPerNode = 5;
   for (std::size_t i = 0; i < 3; ++i) {
     for (int k = 0; k < kPerNode; ++k) {
       h.process(i).node().send_multi(
-          h.all_mask(), tagged(static_cast<std::uint8_t>(i),
-                               static_cast<std::uint8_t>(k)),
+          0b11u,
+          tagged(static_cast<std::uint8_t>(i), static_cast<std::uint8_t>(k)),
           [&](Status st) {
             EXPECT_EQ(st, Status::ok);
             ++done;
@@ -123,8 +137,8 @@ TEST(Sharded, CrossShardDeliversExactlyOncePerShard) {
 }
 
 TEST(Sharded, SingleBitMaskTakesThePlainPath) {
-  ShardedHarness h(2, 2, quick_cfg());
-  ASSERT_TRUE(h.form());
+  SimGroupHarness h = sharded(2, 2);
+  ASSERT_TRUE(h.form_group());
   int done = 0;
   h.process(0).node().send_multi(0b10, tagged(1, 1), [&](Status st) {
     EXPECT_EQ(st, Status::ok);
@@ -136,7 +150,8 @@ TEST(Sharded, SingleBitMaskTakesThePlainPath) {
   EXPECT_EQ(h.process(0).node().stats().xsends.load(), 0u);
   bool delivered = false;
   for (const auto& d : h.process(1).delivered()) {
-    if (d.shard == 1 && d.fp == check::fingerprint(tagged(1, 1))) {
+    if (d.shard == 1 &&
+        check::fingerprint(d.data) == check::fingerprint(tagged(1, 1))) {
       delivered = true;
       EXPECT_EQ(d.xid, 0u);
     }
@@ -145,8 +160,8 @@ TEST(Sharded, SingleBitMaskTakesThePlainPath) {
 }
 
 TEST(Sharded, NonAddressedShardsDoZeroWork) {
-  ShardedHarness h(2, 4, quick_cfg());
-  ASSERT_TRUE(h.form());
+  SimGroupHarness h = sharded(2, 4);
+  ASSERT_TRUE(h.form_group());
 
   int done = 0;
   for (int k = 0; k < 4; ++k) {
@@ -163,7 +178,7 @@ TEST(Sharded, NonAddressedShardsDoZeroWork) {
   // deliveries — the genuineness property, observed from the inside.
   for (std::size_t i = 0; i < 2; ++i) {
     for (std::uint32_t s = 2; s < 4; ++s) {
-      const GroupStats& st = h.process(i).node().shard(s)->stats();
+      const GroupStats& st = h.process(i).member(s).stats();
       EXPECT_EQ(st.xshard_proposals.load(), 0u) << "n" << i << ".s" << s;
       EXPECT_EQ(st.xshard_commits.load(), 0u) << "n" << i << ".s" << s;
       EXPECT_EQ(st.xshard_injected.load(), 0u) << "n" << i << ".s" << s;
@@ -182,8 +197,8 @@ TEST(Sharded, PerShardStatsAndTracesStayScoped) {
   // Two shards share one FLIP stack, executor, and fault device per
   // process; the per-shard GroupStats and trace streams must not bleed
   // into each other. All app traffic goes to shard 0 only.
-  ShardedHarness h(2, 2, quick_cfg());
-  ASSERT_TRUE(h.form());
+  SimGroupHarness h = sharded(2, 2);
+  ASSERT_TRUE(h.form_group());
 
   int done = 0;
   for (std::size_t i = 0; i < 2; ++i) {
@@ -200,17 +215,17 @@ TEST(Sharded, PerShardStatsAndTracesStayScoped) {
   h.run_until([] { return false; }, Duration::millis(300));  // quiesce
 
   // Stats: shard 0 carried the load; shard 1 saw only its own formation.
-  EXPECT_EQ(h.process(0).node().shard(0)->stats().sends_completed.load() +
-                h.process(1).node().shard(0)->stats().sends_completed.load(),
+  EXPECT_EQ(h.process(0).member(0).stats().sends_completed.load() +
+                h.process(1).member(0).stats().sends_completed.load(),
             8u);
   for (std::size_t i = 0; i < 2; ++i) {
-    const GroupStats& idle = h.process(i).node().shard(1)->stats();
+    const GroupStats& idle = h.process(i).member(1).stats();
     EXPECT_EQ(idle.sends_completed.load(), 0u) << "n" << i;
     EXPECT_EQ(idle.sends_pb.load() + idle.sends_bb.load(), 0u) << "n" << i;
   }
   // Per-shard delivery counts diverge: shard 1 delivered only membership.
-  EXPECT_GT(h.process(0).node().shard(0)->stats().messages_delivered.load(),
-            h.process(0).node().shard(1)->stats().messages_delivered.load());
+  EXPECT_GT(h.process(0).member(0).stats().messages_delivered.load(),
+            h.process(0).member(1).stats().messages_delivered.load());
 
   // Traces: every event in a shard's ring carries that shard's group tag,
   // so a shared collector can never conflate the two streams.
@@ -219,7 +234,7 @@ TEST(Sharded, PerShardStatsAndTracesStayScoped) {
   for (const check::RingTrace& r : h.traces().rings()) {
     for (std::size_t i = 0; i < 2; ++i) {
       for (std::uint32_t s = 0; s < 2; ++s) {
-        if (r.label != h.shard_label(i, s)) continue;
+        if (r.label != h.label(i, s)) continue;
         for (const check::TraceEvent& e : r.events) {
           EXPECT_EQ(e.group, s) << r.label;
           if (s == 0 && e.kind == check::EventKind::deliver &&
@@ -243,8 +258,8 @@ TEST(Sharded, PerShardStatsAndTracesStayScoped) {
 }
 
 TEST(Sharded, MixedLocalAndCrossTrafficStaysConsistent) {
-  ShardedHarness h(3, 2, quick_cfg(1));
-  ASSERT_TRUE(h.form());
+  SimGroupHarness h = sharded(3, 2, quick_cfg(1));
+  ASSERT_TRUE(h.form_group());
 
   int done = 0;
   int want = 0;
@@ -258,7 +273,7 @@ TEST(Sharded, MixedLocalAndCrossTrafficStaysConsistent) {
       };
       ++want;
       if (k % 3 == 0) {
-        h.process(i).node().send_multi(h.all_mask(), std::move(b), cb);
+        h.process(i).node().send_multi(0b11u, std::move(b), cb);
       } else {
         h.process(i).node().send_to_shard(static_cast<std::uint32_t>(k) % 2,
                                           std::move(b), cb);
@@ -276,37 +291,37 @@ TEST(Sharded, CrossShardSurvivesSequencerStationCrash) {
   // Crashing station 0 kills shard 0's sequencer and a plain member of
   // shard 1. Survivors reset shard 0 and the cross-shard workload resumes
   // with the oracle still clean.
-  ShardedHarness h(3, 2, quick_cfg(1));
-  ASSERT_TRUE(h.form());
+  SimGroupHarness h = sharded(3, 2, quick_cfg(1));
+  ASSERT_TRUE(h.form_group());
 
   int done = 0;
   for (std::size_t i = 0; i < 3; ++i) {
-    h.process(i).node().send_multi(h.all_mask(),
+    h.process(i).node().send_multi(0b11u,
                                    tagged(static_cast<std::uint8_t>(i), 0xA),
                                    [&](Status) { ++done; });
   }
   ASSERT_TRUE(h.run_until([&] { return done == 3; }, Duration::seconds(60)));
 
-  h.crash_node(0);
+  h.process(0).faults().crash();
 
   // Probe shard 0 from node 1 until the dead sequencer is noticed.
   bool probing = false;
   auto probe = [&] {
-    if (probing || h.process(1).shard_fault(0).has_value()) return;
+    if (probing || h.process(1).fault(0).has_value()) return;
     probing = true;
     h.process(1).node().send_to_shard(0, tagged(9, 9),
                                       [&](Status) { probing = false; });
   };
   ASSERT_TRUE(h.run_until(
       [&] {
-        if (!h.process(1).shard_fault(0).has_value()) probe();
-        return h.process(1).shard_fault(0).has_value();
+        if (!h.process(1).fault(0).has_value()) probe();
+        return h.process(1).fault(0).has_value();
       },
       Duration::seconds(60)));
 
   bool reset_done = false;
   Status reset_status = Status::ok;
-  h.process(1).node().shard(0)->reset_group(2, [&](Status s, std::uint32_t) {
+  h.process(1).member(0).reset_group(2, [&](Status s, std::uint32_t) {
     reset_status = s;
     reset_done = true;
   });
@@ -316,7 +331,7 @@ TEST(Sharded, CrossShardSurvivesSequencerStationCrash) {
       [&] {
         for (std::size_t i = 1; i < 3; ++i) {
           for (std::uint32_t s = 0; s < 2; ++s) {
-            if (h.process(i).node().shard(s)->state() !=
+            if (h.process(i).member(s).state() !=
                 GroupMember::State::running) {
               return false;
             }
@@ -331,8 +346,8 @@ TEST(Sharded, CrossShardSurvivesSequencerStationCrash) {
   for (std::size_t i = 1; i < 3; ++i) {
     for (int k = 0; k < 3; ++k) {
       h.process(i).node().send_multi(
-          h.all_mask(), tagged(static_cast<std::uint8_t>(i),
-                               static_cast<std::uint8_t>(0xB0 + k)),
+          0b11u, tagged(static_cast<std::uint8_t>(i),
+                        static_cast<std::uint8_t>(0xB0 + k)),
           [&](Status st) {
             EXPECT_EQ(st, Status::ok);
             ++done_b;
@@ -345,9 +360,9 @@ TEST(Sharded, CrossShardSurvivesSequencerStationCrash) {
   check::OracleOptions opts;
   for (std::size_t i = 1; i < 3; ++i) {
     for (std::uint32_t s = 0; s < 2; ++s) {
-      if (h.process(i).node().shard(s)->state() ==
+      if (h.process(i).member(s).state() ==
           GroupMember::State::running) {
-        opts.durable_rings.push_back(h.shard_label(i, s));
+        opts.durable_rings.push_back(h.label(i, s));
       }
     }
   }
@@ -362,6 +377,283 @@ TEST(Sharded, CrossShardSurvivesSequencerStationCrash) {
     }
     for (const auto& [key, n] : seen) EXPECT_EQ(n, 1) << "n" << i;
   }
+}
+
+TEST(Sharded, CrossShardRoundTimesOutAfterItsRetryBudget) {
+  // The origin's cadence comes from the shards' GroupConfig, the same pair
+  // the sequencers derive their quarantine and expiry from.
+  GroupConfig cfg = quick_cfg();
+  cfg.xshard_retries = 2;
+  SimGroupHarness h = sharded(3, 2, cfg);
+  ASSERT_TRUE(h.form_group());
+
+  // Station 1 created (and sequences) shard 1; cut it off, so shard 1
+  // never proposes and the round spends its whole budget.
+  h.process(1).faults().crash();
+  const Time start = h.engine().now();
+  Time end{};
+  Status status = Status::ok;
+  bool done = false;
+  h.process(0).node().send_multi(0b11u, tagged(0, 1), [&](Status st) {
+    status = st;
+    end = h.engine().now();
+    done = true;
+  });
+  ASSERT_TRUE(h.run_until([&] { return done; }, Duration::seconds(5)));
+  EXPECT_EQ(status, Status::timeout);
+  // Two retries, then the third tick finds the budget spent.
+  EXPECT_GE(end - start, cfg.xshard_retry * 3);
+  EXPECT_LT(end - start, cfg.xshard_retry * 4);
+}
+
+// ---------------------------------------------------------------------------
+// NodeHosting. The reference wiring is a bare GroupMember on the station's
+// FLIP stack, with the user-level receive model SimProcess applies.
+// ---------------------------------------------------------------------------
+
+struct BareProcess {
+  BareProcess(sim::Node& n, flip::Address addr, const GroupConfig& cfg,
+              std::uint64_t fault_seed)
+      : node(n), exec(n), dev(n), faults_(dev, exec, fault_seed),
+        flip(exec, faults_),
+        member_(flip, exec, addr, cfg,
+                GroupMember::Callbacks{
+                    .on_message =
+                        [this](const GroupMessage& m) {
+                          const auto& c = exec.costs();
+                          Duration cost = c.user_deliver +
+                                          c.copy_time(m.data.size(),
+                                                      c.user_copies);
+                          if (node.cpu_free() <= exec.now()) {
+                            cost += c.ctx_switch;
+                          }
+                          exec.post(cost,
+                                    [this, m] { delivered.push_back(m); });
+                        },
+                    .on_view = nullptr,
+                    .on_fault = [this](Status s) { fault_ = s; },
+                }) {
+    member_.set_trace_ring(&ring);
+  }
+
+  GroupMember& member() { return member_; }
+  transport::FaultDevice& faults() { return faults_; }
+  std::optional<Status> fault() const { return fault_; }
+  void user_send(Buffer data, GroupMember::StatusCb done) {
+    exec.post(exec.costs().user_send,
+              [this, data = std::move(data), done = std::move(done)]() mutable {
+                member_.send_to_group(std::move(data), std::move(done));
+              });
+  }
+
+  sim::Node& node;
+  check::TraceRing ring;
+  transport::SimExecutor exec;
+  transport::SimDevice dev;
+  transport::FaultDevice faults_;
+  flip::FlipStack flip;
+  std::vector<GroupMessage> delivered;
+  std::optional<Status> fault_;
+  GroupMember member_;  // last: its callbacks use everything above
+};
+
+class BareHarness {
+ public:
+  BareHarness(std::size_t n, const GroupConfig& cfg, std::uint64_t seed)
+      : world_(n, sim::CostModel::mc68030_ether10(), seed) {
+    for (std::size_t i = 0; i < n; ++i) {
+      procs_.push_back(std::make_unique<BareProcess>(
+          world_.node(i), flip::process_address(i + 1), cfg,
+          seed ^ (0x9E3779B97F4A7C15ULL * (i + 1))));
+      collector_.attach("m" + std::to_string(i), &procs_.back()->ring);
+    }
+  }
+
+  bool form_group() {
+    const flip::Address gaddr = flip::group_address(0x6702);
+    std::size_t formed = 0;
+    procs_[0]->member().create_group(gaddr, [&](Status) { ++formed; });
+    std::function<void(std::size_t)> join_next = [&](std::size_t i) {
+      if (i >= procs_.size()) return;
+      procs_[i]->member().join_group(gaddr, [&, i](Status) {
+        ++formed;
+        join_next(i + 1);
+      });
+    };
+    join_next(1);
+    return run_until([&] { return formed == procs_.size(); },
+                     Duration::seconds(30));
+  }
+
+  bool run_until(const std::function<bool()>& pred, Duration deadline) {
+    const Time limit = engine().now() + deadline;
+    while (!pred()) {
+      if (engine().now() >= limit || engine().pending() == 0) return pred();
+      engine().run_steps(1);
+      collector_.drain();
+    }
+    return true;
+  }
+
+  sim::Engine& engine() { return world_.engine(); }
+  BareProcess& process(std::size_t i) { return *procs_.at(i); }
+  check::TraceCollector& traces() { return collector_; }
+
+ private:
+  sim::World world_;
+  std::vector<std::unique_ptr<BareProcess>> procs_;
+  check::TraceCollector collector_;
+};
+
+/// Noise, a sequencer crash, ResetGroup by member 1, and a second send
+/// phase from the survivors — on either harness.
+template <class Harness>
+void run_reset_workload(Harness& h) {
+  constexpr std::size_t kMembers = 4;
+  transport::NemesisEvent noisy;
+  noisy.plan.drop = 0.05;
+  noisy.plan.duplicate = 0.02;
+  noisy.plan.corrupt = 0.02;
+  noisy.plan.delay = 0.03;
+  transport::NemesisEvent calm;
+  calm.at = Duration::millis(200);
+  for (std::size_t i = 0; i < kMembers; ++i) {
+    h.process(i).faults().set_schedule({noisy, calm});
+    h.process(i).faults().start_nemesis();
+  }
+  h.engine().schedule_at(h.engine().now() + Duration::millis(80),
+                         [&h] { h.process(0).faults().crash(); });
+
+  std::array<int, kMembers> done{};
+  std::function<void(std::size_t, int, std::uint8_t)> send =
+      [&](std::size_t i, int k, std::uint8_t phase) {
+        if (k >= 2) return;
+        Buffer b(8);
+        b[0] = static_cast<std::uint8_t>(i);
+        b[1] = static_cast<std::uint8_t>(k);
+        b[2] = phase;
+        h.process(i).user_send(std::move(b), [&, i, k, phase](Status) {
+          ++done[i];
+          send(i, k + 1, phase);
+        });
+      };
+  const auto all_done = [&](std::size_t first, int n) {
+    for (std::size_t i = first; i < kMembers; ++i) {
+      if (done[i] < n) return false;
+    }
+    return true;
+  };
+  for (std::size_t i = 0; i < kMembers; ++i) send(i, 0, 0xA);
+  ASSERT_TRUE(h.run_until([&] { return all_done(0, 2); },
+                          Duration::seconds(60)));
+
+  bool probing = false;
+  ASSERT_TRUE(h.run_until(
+      [&] {
+        if (!h.process(1).fault().has_value() && !probing) {
+          probing = true;
+          h.process(1).user_send(Buffer(8), [&](Status) { probing = false; });
+        }
+        return h.process(1).fault().has_value();
+      },
+      Duration::seconds(60)));
+  bool reset_done = false;
+  Status reset_status = Status::failure;
+  h.process(1).member().reset_group(2, [&](Status s, std::uint32_t) {
+    reset_status = s;
+    reset_done = true;
+  });
+  ASSERT_TRUE(h.run_until([&] { return reset_done; }, Duration::seconds(60)));
+  ASSERT_EQ(reset_status, Status::ok);
+
+  for (std::size_t i = 1; i < kMembers; ++i) send(i, 0, 0xB);
+  ASSERT_TRUE(h.run_until([&] { return all_done(1, 4); },
+                          Duration::seconds(60)));
+  h.run_until([] { return false; }, Duration::millis(800));
+}
+
+template <class List>
+std::vector<std::tuple<SeqNum, MemberId, MessageKind, std::uint32_t,
+                       std::uint64_t>>
+digest(const List& delivered) {
+  std::vector<std::tuple<SeqNum, MemberId, MessageKind, std::uint32_t,
+                         std::uint64_t>>
+      out;
+  for (const GroupMessage& m : delivered) {
+    out.emplace_back(m.seq, m.sender, m.kind, m.sender_msg_id,
+                     check::fingerprint(m.data));
+  }
+  return out;
+}
+
+TEST(NodeHosting, OneShardRunsTheBareMemberProtocol) {
+  for (const Method method : {Method::pb, Method::bb}) {
+    for (const std::uint32_t r : {0u, 1u}) {
+      SCOPED_TRACE(std::string(method == Method::pb ? "pb" : "bb") + " r=" +
+                   std::to_string(r));
+      GroupConfig cfg = quick_cfg(r);
+      cfg.method = method;
+      SimGroupHarness h(4, cfg, sim::CostModel::mc68030_ether10(), 77);
+      BareHarness ref(4, cfg, 77);
+      ASSERT_TRUE(h.form_group());
+      ASSERT_TRUE(ref.form_group());
+      run_reset_workload(h);
+      ASSERT_FALSE(HasFatalFailure());
+      run_reset_workload(ref);
+      ASSERT_FALSE(HasFatalFailure());
+
+      EXPECT_EQ(h.engine().now(), ref.engine().now());
+      EXPECT_EQ(h.traces().dump_json(), ref.traces().dump_json());
+      for (std::size_t i = 0; i < 4; ++i) {
+        EXPECT_FALSE(ref.process(i).delivered.empty());
+        EXPECT_EQ(digest(h.process(i).delivered()),
+                  digest(ref.process(i).delivered))
+            << "m" << i;
+      }
+    }
+  }
+}
+
+TEST(NodeHosting, EveryShardPaysTheUserReceiveCost) {
+  SimGroupHarness h = sharded(3, 2);
+  // When each user-level delivery lands, keyed by (process, shard, seq).
+  std::map<std::tuple<std::size_t, std::uint32_t, SeqNum>, Time> landed;
+  for (std::size_t i = 0; i < 3; ++i) {
+    h.process(i).set_on_deliver([&, i](const SimProcess::Delivery& d) {
+      landed[{i, d.shard, d.seq}] = h.engine().now();
+    });
+  }
+  ASSERT_TRUE(h.form_group());
+  int done = 0;
+  for (std::size_t i = 0; i < 3; ++i) {
+    const auto b = static_cast<std::uint8_t>(i);
+    h.process(i).node().send_to_shard(0, tagged(b, 0), [&](Status) { ++done; });
+    h.process(i).node().send_to_shard(1, tagged(b, 1), [&](Status) { ++done; });
+    h.process(i).node().send_multi(0b11u, tagged(b, 2),
+                                   [&](Status) { ++done; });
+  }
+  ASSERT_TRUE(h.run_until([&] { return done == 9; }, Duration::seconds(30)));
+  h.run_until([] { return false; }, Duration::millis(300));
+
+  const Duration user_deliver =
+      sim::CostModel::mc68030_ether10().user_deliver;
+  std::array<int, 2> checked{};
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (std::uint32_t s = 0; s < 2; ++s) {
+      for (const check::RingTrace& r : h.traces().rings()) {
+        if (r.label != h.label(i, s)) continue;
+        for (const check::TraceEvent& e : r.events) {
+          if (e.kind != check::EventKind::deliver) continue;
+          const auto it = landed.find({i, s, e.seq});
+          ASSERT_NE(it, landed.end()) << r.label << " seq " << e.seq;
+          EXPECT_GE(it->second - e.at, user_deliver) << r.label;
+          ++checked[s];
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked[0], 0);
+  EXPECT_GT(checked[1], 0);
 }
 
 }  // namespace

@@ -30,20 +30,17 @@ TEST(GroupWraparound, TotalOrderAcrossTheBoundary) {
   ASSERT_TRUE(h.form_group());
 
   int sent = 0;
-  for (std::size_t p = 0; p < 3; ++p) {
-    auto pump = std::make_shared<std::function<void(int)>>();
-    *pump = [&, p, pump](int k) {
-      if (k >= 20) return;
-      Buffer b(2);
-      b[0] = static_cast<std::uint8_t>(p);
-      b[1] = static_cast<std::uint8_t>(k);
-      h.process(p).user_send(std::move(b), [&, k, pump](Status s) {
-        if (s == Status::ok) ++sent;
-        (*pump)(k + 1);
-      });
-    };
-    (*pump)(0);
-  }
+  std::function<void(std::size_t, int)> pump = [&](std::size_t p, int k) {
+    if (k >= 20) return;
+    Buffer b(2);
+    b[0] = static_cast<std::uint8_t>(p);
+    b[1] = static_cast<std::uint8_t>(k);
+    h.process(p).user_send(std::move(b), [&, p, k](Status s) {
+      if (s == Status::ok) ++sent;
+      pump(p, k + 1);
+    });
+  };
+  for (std::size_t p = 0; p < 3; ++p) pump(p, 0);
   ASSERT_TRUE(h.run_until(
       [&] {
         if (sent < 60) return false;
@@ -80,15 +77,14 @@ TEST(GroupWraparound, NackRecoveryAcrossTheBoundary) {
   h.world().segment().set_fault_plan(sim::FaultPlan{.loss_prob = 0.12});
 
   int sent = 0;
-  auto pump = std::make_shared<std::function<void(int)>>();
-  *pump = [&, pump](int k) {
+  std::function<void(int)> pump = [&](int k) {
     if (k >= 50) return;
-    h.process(1).user_send(make_pattern_buffer(16), [&, k, pump](Status s) {
+    h.process(1).user_send(make_pattern_buffer(16), [&, k](Status s) {
       if (s == Status::ok) ++sent;
-      (*pump)(k + 1);
+      pump(k + 1);
     });
   };
-  (*pump)(0);
+  pump(0);
   ASSERT_TRUE(h.run_until(
       [&] {
         if (sent < 50) return false;
@@ -112,15 +108,14 @@ TEST(GroupWraparound, RecoveryAcrossTheBoundary) {
   ASSERT_TRUE(h.form_group());
 
   int sent = 0;
-  auto pump = std::make_shared<std::function<void(int)>>();
-  *pump = [&, pump](int k) {
+  std::function<void(int)> pump = [&](int k) {
     if (k >= 30) return;
-    h.process(1).user_send(make_pattern_buffer(8), [&, k, pump](Status s) {
+    h.process(1).user_send(make_pattern_buffer(8), [&, k](Status s) {
       if (s == Status::ok) ++sent;
-      (*pump)(k + 1);
+      pump(k + 1);
     });
   };
-  (*pump)(0);
+  pump(0);
   ASSERT_TRUE(h.run_until([&] { return sent == 30; }, Duration::seconds(60)));
 
   // The crash lands after the wrap; the rebuilt stream must preserve all

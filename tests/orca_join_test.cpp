@@ -69,13 +69,12 @@ TEST(OrcaJoin, NewWorkerAcquiresAllObjectsMidStream) {
 
   // History: counters and directory entries, continuously updated.
   int completed = 0;
-  auto pump = std::make_shared<std::function<void(int)>>();
-  *pump = [&, pump](int k) {
+  std::function<void(int)> pump = [&](int k) {
     if (k >= 30) return;
     nodes[0]->orca->write("total", SharedInteger::op_add(k),
-                          [&, k, pump](Status s) {
+                          [&, k](Status s) {
                             if (s == Status::ok) ++completed;
-                            (*pump)(k + 1);
+                            pump(k + 1);
                           });
     if (k % 5 == 0) {
       nodes[1]->orca->write(
@@ -86,7 +85,7 @@ TEST(OrcaJoin, NewWorkerAcquiresAllObjectsMidStream) {
           });
     }
   };
-  (*pump)(0);
+  pump(0);
 
   // Mid-stream join + atomic multi-object state transfer.
   SimProcess& newcomer = h.add_process();

@@ -2,8 +2,9 @@
 //
 // The sweep size is environment-driven so one binary serves two budgets:
 // AMOEBA_PROPERTY_SEEDS (default 6) seeds x {PB, BB} x r in {0,1,2}, each
-// under a nemesis scenario picked from the parameters. CI runs the default
-// on every PR and the 20-seed sweep nightly (see tests/CMakeLists.txt).
+// under a nemesis scenario picked from the parameters (run_property_case,
+// shared with the sharded sweep). CI runs the default on every PR and a
+// 500-seed sweep over the full batch grid nightly (see tests/CMakeLists.txt).
 //
 // MutationSmokeTest is the oracle's own regression: it tampers with a
 // healthy run's trace the way a real ordering bug would, and fails if the
@@ -32,14 +33,14 @@ std::vector<PropertyParams> sweep_params() {
   // frames flush on the idle hook), 16 (the default cap). On the PR budget
   // each seed cycles through one of the three; the nightly job sets
   // AMOEBA_PROPERTY_BATCH_SWEEP=1 for the full cross product.
-  constexpr std::size_t kBatchCounts[] = {1, 4, 16};
+  constexpr std::uint32_t kBatchCounts[] = {1, 4, 16};
   const bool full_batch_sweep =
       std::getenv("AMOEBA_PROPERTY_BATCH_SWEEP") != nullptr;
   std::vector<PropertyParams> out;
   for (int s = 0; s < seeds; ++s) {
     for (const Method m : {Method::pb, Method::bb}) {
       for (const std::uint32_t r : {0u, 1u, 2u}) {
-        for (const std::size_t bc : kBatchCounts) {
+        for (const std::uint32_t bc : kBatchCounts) {
           if (!full_batch_sweep &&
               bc != kBatchCounts[static_cast<std::size_t>(s) % 3]) {
             continue;
@@ -71,7 +72,7 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, PropertySweep, ::testing::ValuesIn(sweep_params()),
     [](const ::testing::TestParamInfo<PropertyParams>& ti) {
       const PropertyParams& p = ti.param;
-      std::string sc = scenario_name(pick_scenario(p));
+      std::string sc = scenario_name(p, pick_scenario(p));
       for (char& c : sc) {
         if (c == '-') c = '_';
       }

@@ -1,24 +1,36 @@
 // Seed-swept property harness: one randomized workload + nemesis schedule
-// per (seed, method, resilience) triple, checked by the ConformanceOracle.
+// per case, checked by the ConformanceOracle. One runner serves both
+// sweeps: the classic single-group one (PropertySweep) and the sharded one
+// with cross-shard atomic multicast (ShardedSweep), whose cases add a shard
+// count and a cross-shard mix.
 //
-// Each case forms a 4-member group on the simulated testbed, installs a
-// deterministic nemesis scenario picked by hashing the parameters —
+// Each case runs 4 processes. With S shards every process hosts a member
+// of each; shard s is created — and initially sequenced — by process
+// s mod 4. The scenario is picked by hashing the parameters:
 //
-//   0: background noise only (drop / duplicate / corrupt / delay)
-//   1: noise + a both-ways partition of member 3, healed mid-run
-//   2: noise + member 3 (a plain receiver) crashes and is expelled
-//   3: noise + the SEQUENCER crashes; member 1 runs ResetGroup and the
-//      survivors continue with a second send phase under the new view
+//   noise            background noise only (drop / duplicate / corrupt /
+//                    delay)
+//   partition        noise + a both-ways partition of process 3, healed
+//                    mid-run (single-group cases only)
+//   member-crash     noise + station 3 crashes. Single-group: a plain
+//   (edge-crash)     receiver, expelled. Sharded: with S = 2 it holds no
+//                    sequencer role, with S = 4 it sequences shard 3
+//   sequencer-crash  noise + station 0, the sequencer of shard 0, crashes
 //
-// — drives chained sends from every member, quiesces, and hands the full
-// event trace to the oracle. On a violation the report carries the seed,
-// the parameters, and the merged trace dump, so any failure replays with
-// `--gtest_filter=...` on the printed case name.
+// After a crash the designated survivor of every orphaned shard (one whose
+// sequencer lived on the crashed station) probes until its member observes
+// the fault and runs ResetGroup; then a second send phase completes under
+// the new views. The oracle judges the whole trace: per-shard stream
+// invariants, plus exactly-once / genuineness / atomicity / relative order
+// for every cross-shard message. On a violation the report carries the
+// seed, the parameters, and the merged trace dump, so any failure replays
+// with `--gtest_filter=...` on the printed case name.
 //
 // Durability claims are scoped to what the protocol actually promises:
 // members whose final state is `running` must hold every message that was
-// delivered anywhere; after a sequencer crash that claim additionally
-// needs r >= 1 (with r = 0 a message can die with the sequencer).
+// delivered anywhere; in a shard whose sequencer crashed that claim
+// additionally needs r >= 1 (with r = 0 a message can die with the
+// sequencer).
 #pragma once
 
 #include <array>
@@ -27,6 +39,7 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "check/oracle.hpp"
@@ -38,57 +51,100 @@ using transport::NemesisEvent;
 
 struct PropertyParams {
   std::uint64_t seed{1};
+  // 1: the classic single-group case. 2 or 4: a sharded case.
+  std::uint8_t n_shards{1};
   Method method{Method::pb};
+  std::uint8_t pad[2]{};
   std::uint32_t resilience{0};
   // Sequencer packing cap for the case: 1 disables batching entirely (every
   // message rides its own seq_data frame), larger values exercise the
   // seq_packed / seq_accept_range path under the same nemesis schedules.
-  std::size_t batch_count{16};
+  std::uint32_t batch_count{16};
+  std::int32_t mix_pct{0};  // % of sends that are 2-shard atomic multicasts
 };
+// CTest names each case after gtest's "<size>-byte object <bytes>" dump of
+// its parameter, so the size and the zeroed padding keep the names stable.
+static_assert(sizeof(PropertyParams) == 24 &&
+              std::has_unique_object_representations_v<PropertyParams>);
 
 struct PropertyOutcome {
   bool formed{false};
   int scenario{-1};
-  bool reset_ok{true};  // scenario 3 only: ResetGroup completed with ok
+  bool reset_ok{true};  // crash scenarios: every ResetGroup completed ok
   check::Verdict verdict{};
-  std::string report;       // params + trace dump; filled on any failure
+  std::string report;         // params + trace dump; filled on any failure
   std::uint64_t injected{0};  // faults the nemesis actually applied
+  std::uint64_t xsends{0};       // cross-shard rounds admitted
+  std::uint64_t xdeliveries{0};  // cross-shard up-deliveries
 };
 
-inline const char* scenario_name(int sc) {
+enum Scenario : int { noise, partition, member_crash, sequencer_crash };
+
+inline std::string scenario_name(const PropertyParams& p, int sc) {
   switch (sc) {
-    case 0: return "noise";
-    case 1: return "partition";
-    case 2: return "member-crash";
-    case 3: return "sequencer-crash";
+    case noise: return "noise";
+    case partition: return "partition";
+    case member_crash: return p.n_shards > 1 ? "edge-crash" : "member-crash";
+    case sequencer_crash: return "sequencer-crash";
     default: return "?";
   }
 }
 
-/// Deterministic scenario choice: every (seed, method, r) triple maps to
-/// one of the four scenarios, and a sweep over consecutive seeds hits all
-/// of them for every protocol variant.
+/// Deterministic scenario choice: every parameter tuple maps to one
+/// scenario, and a sweep over consecutive seeds hits all of them for every
+/// protocol variant.
 inline int pick_scenario(const PropertyParams& p) {
   std::uint64_t h = p.seed * 0x9E3779B97F4A7C15ULL;
-  h ^= (static_cast<std::uint64_t>(p.method) << 7) ^
-       (static_cast<std::uint64_t>(p.resilience) << 3);
+  if (p.n_shards == 1) {
+    h ^= (static_cast<std::uint64_t>(p.method) << 7) ^
+         (static_cast<std::uint64_t>(p.resilience) << 3);
+    h *= 0xBF58476D1CE4E5B9ULL;
+    return static_cast<int>((h >> 33) % 4);
+  }
+  h ^= (static_cast<std::uint64_t>(p.method) << 9) ^
+       (static_cast<std::uint64_t>(p.resilience) << 5) ^
+       (static_cast<std::uint64_t>(p.n_shards) << 2) ^
+       static_cast<std::uint64_t>(p.mix_pct);
   h *= 0xBF58476D1CE4E5B9ULL;
-  return static_cast<int>((h >> 33) % 4);
+  constexpr int kSharded[] = {noise, member_crash, sequencer_crash};
+  return kSharded[(h >> 33) % 3];
 }
 
 inline std::string describe(const PropertyParams& p, int sc) {
   std::ostringstream os;
-  os << "seed=" << p.seed << " method="
+  os << "seed=" << p.seed;
+  if (p.n_shards > 1) os << " shards=" << unsigned{p.n_shards};
+  os << " method="
      << (p.method == Method::pb ? "pb"
                                 : (p.method == Method::bb ? "bb" : "dynamic"))
-     << " r=" << p.resilience << " batch_count=" << p.batch_count
-     << " scenario=" << scenario_name(sc);
+     << " r=" << p.resilience;
+  if (p.n_shards > 1) {
+    os << " mix=" << p.mix_pct << "%";
+  } else {
+    os << " batch_count=" << p.batch_count;
+  }
+  os << " scenario=" << scenario_name(p, sc);
   return os.str();
 }
 
+/// SplitMix64: the per-send decision stream (cross vs local, which shards).
+inline std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9E3779B97F4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
 inline PropertyOutcome run_property_case(const PropertyParams& p) {
-  constexpr std::size_t kMembers = 4;
+  constexpr std::size_t kProcs = 4;
   const int sc = pick_scenario(p);
+  const std::uint32_t S = p.n_shards;
+  const bool crash = sc == member_crash || sc == sequencer_crash;
+  const std::size_t victim = sc == member_crash ? 3u : 0u;
+  // Shard s's sequencer lives on station s mod 4.
+  const auto orphaned = [&](std::uint32_t s) {
+    return crash && s % kProcs == victim;
+  };
 
   GroupConfig cfg;
   cfg.resilience = p.resilience;
@@ -100,20 +156,21 @@ inline PropertyOutcome run_property_case(const PropertyParams& p) {
   cfg.status_interval = Duration::millis(100);
   cfg.invite_interval = Duration::millis(50);
 
-  // AMOEBA_DURABILITY=1 re-runs the whole sweep with every member on a
-  // durable log in group_commit mode: the protocol obligations must hold
+  // AMOEBA_DURABILITY=1 re-runs the single-group sweep with every member on
+  // a durable log in group_commit mode: the protocol obligations must hold
   // regardless of the logging mode, and the sanitizer CI jobs get the
   // log's append/fsync path under the same nemesis schedules.
   const char* dur_env = std::getenv("AMOEBA_DURABILITY");
-  const bool durable_mode = dur_env != nullptr && dur_env[0] == '1';
+  const bool durable_mode = S == 1 && dur_env != nullptr && dur_env[0] == '1';
   if (durable_mode) {
     cfg.durability = Durability::group_commit;
     cfg.fsync_interval = Duration::millis(10);
   }
 
-  SimGroupHarness h(kMembers, cfg, sim::CostModel::mc68030_ether10(), p.seed);
+  SimGroupHarness h(kProcs, cfg, sim::CostModel::mc68030_ether10(), p.seed,
+                    S);
   if (durable_mode) {
-    for (std::size_t i = 0; i < kMembers; ++i) {
+    for (std::size_t i = 0; i < kProcs; ++i) {
       h.process(i).enable_durability();
     }
   }
@@ -137,7 +194,7 @@ inline PropertyOutcome run_property_case(const PropertyParams& p) {
   calm.kind = NemesisEvent::Kind::set_plan;  // default plan: no faults
 
   std::vector<NemesisEvent> schedule{noisy};
-  if (sc == 1) {
+  if (sc == partition) {
     NemesisEvent cut;
     cut.at = Duration::millis(60);
     cut.kind = NemesisEvent::Kind::partition;
@@ -151,7 +208,7 @@ inline PropertyOutcome run_property_case(const PropertyParams& p) {
     schedule.push_back(cut);
     schedule.push_back(heal);
   }
-  calm.at = Duration::millis(sc == 0 ? 400 : (sc == 1 ? 400 : 200));
+  calm.at = Duration::millis(crash ? 200 : 400);
   schedule.push_back(calm);
   for (std::size_t i = 0; i < h.size(); ++i) {
     h.process(i).faults().set_schedule(schedule);
@@ -159,129 +216,179 @@ inline PropertyOutcome run_property_case(const PropertyParams& p) {
   }
   // Crashes are scripted on the engine clock so they land at an exact
   // virtual time regardless of frame activity.
-  const std::size_t crash_victim = (sc == 2) ? 3u : 0u;
   const Time crash_at = h.engine().now() + Duration::millis(80);
-  if (sc == 2 || sc == 3) {
-    h.engine().schedule_at(crash_at, [&h, crash_victim] {
-      h.process(crash_victim).faults().crash();
-    });
+  if (crash) {
+    h.engine().schedule_at(
+        crash_at, [&h, victim] { h.process(victim).faults().crash(); });
   }
 
-  // --- Phase A workload: chained sends from every member --------------------
-  // Completions count terminally whatever the status — crashed / partitioned
-  // members legitimately fail their sends; the oracle's validity invariant
-  // separately pins every `ok` to a real self-delivery.
-  const int per_sender = (sc == 3) ? 2 : 4;
-  std::array<int, kMembers> terminal{};
-  std::function<void(std::size_t, int)> send_k = [&](std::size_t i, int k) {
-    if (k >= per_sender) return;
+  // --- Sends ----------------------------------------------------------------
+  // A single-group send is the user-level SendToGroup; a sharded one goes
+  // to the process's Node, for one shard or — `cross` — as a 2-shard
+  // atomic multicast. Which shards is seeded per (process, phase, k).
+  const auto send_to = [&](std::size_t i, std::uint32_t s, Buffer b,
+                           const std::function<void(Status)>& cb) {
+    if (S == 1) {
+      h.process(i).user_send(std::move(b), cb);
+    } else {
+      h.process(i).node().send_to_shard(s, std::move(b), cb);
+    }
+  };
+  const auto one_send = [&](std::size_t i, int k, std::uint8_t phase,
+                            bool cross, const std::function<void(Status)>& cb) {
+    const std::uint64_t r = mix64(
+        p.seed * std::uint64_t{1315423911} ^
+        (static_cast<std::uint64_t>(i) + 1) * std::uint64_t{2654435761} ^
+        (static_cast<std::uint64_t>(phase) << 32) ^
+        static_cast<std::uint64_t>(k) * std::uint64_t{40503});
     Buffer b(8);
     b[0] = static_cast<std::uint8_t>(i);
     b[1] = static_cast<std::uint8_t>(k);
-    b[2] = 0xA;  // phase tag
-    h.process(i).user_send(std::move(b), [&, i, k](Status) {
+    b[2] = phase;
+    if (S > 1) b[3] = static_cast<std::uint8_t>(r);
+    const std::uint32_t a = static_cast<std::uint32_t>(r >> 8) % S;
+    if (cross) {
+      const std::uint32_t b2 =
+          (a + 1 + static_cast<std::uint32_t>(r >> 16) % (S - 1)) % S;
+      h.process(i).node().send_multi((1u << a) | (1u << b2), std::move(b),
+                                     cb);
+    } else {
+      send_to(i, a, std::move(b), cb);
+    }
+  };
+  // The cross/local decision is deterministic, not Bernoulli: send number n
+  // (counted round-robin across senders) is cross-shard when n crosses a
+  // multiple of 100/mix. A sampled mix can legitimately produce zero
+  // cross-shard sends for an unlucky seed, which would starve the sweep's
+  // "machinery was exercised" assertion; this always lands within one send
+  // of the requested percentage.
+  const auto is_cross = [&](std::size_t i, int k) {
+    const int n = k * static_cast<int>(kProcs) + static_cast<int>(i);
+    return p.mix_pct > 0 && ((n + 1) * p.mix_pct) / 100 > (n * p.mix_pct) / 100;
+  };
+
+  // --- Phase A: chained sends from every process -----------------------------
+  // Completions count terminally whatever the status — crashed / partitioned
+  // members legitimately fail their sends, a crashed origin times out its
+  // rounds; the oracle's validity and atomicity obligations separately pin
+  // every `ok` to real deliveries.
+  const int per_sender =
+      S == 1 ? (sc == sequencer_crash ? 2 : 4) : (crash ? 3 : 4);
+  std::array<int, kProcs> terminal{};
+  std::function<void(std::size_t, int)> send_k = [&](std::size_t i, int k) {
+    if (k >= per_sender) return;
+    one_send(i, k, 0xA, is_cross(i, k), [&, i, k](Status) {
       ++terminal[i];
       send_k(i, k + 1);
     });
   };
-  for (std::size_t i = 0; i < kMembers; ++i) send_k(i, 0);
+  for (std::size_t i = 0; i < kProcs; ++i) send_k(i, 0);
 
   const auto phase_a_done = [&] {
-    for (std::size_t i = 0; i < kMembers; ++i) {
+    for (std::size_t i = 0; i < kProcs; ++i) {
       if (terminal[i] < per_sender) return false;
     }
     return true;
   };
-  if (!h.run_until(phase_a_done, Duration::seconds(60))) {
+  if (!h.run_until(phase_a_done, Duration::seconds(120))) {
     out.report = "phase A stalled: " + describe(p, sc) + "\n" +
                  h.traces().dump_text(200);
     return out;
   }
 
-  // --- Scenario 3: ResetGroup + a post-recovery send phase ------------------
+  // --- Crash scenarios: reset every orphaned shard, then phase B ------------
+  // (A single-group member crash orphans nothing and needs no phase B.)
+  const std::size_t survivor = (victim + 1) % kProcs;
   bool probing = false;
-  if (sc == 3) {
-    // Member 1 must notice the dead sequencer before it can reset; keep
-    // probing until its failure callback fires.
-    std::function<void()> probe = [&] {
-      if (h.process(1).fault().has_value() || probing) return;
-      probing = true;
-      Buffer b(8);
-      b[0] = 1;
-      b[2] = 0xF;  // probe tag
-      h.process(1).user_send(std::move(b), [&](Status) {
-        probing = false;
-      });
-    };
-    if (!h.run_until(
-            [&] {
-              if (!h.process(1).fault().has_value()) probe();
-              return h.process(1).fault().has_value();
-            },
-            Duration::seconds(60))) {
-      out.report = "fault never observed: " + describe(p, sc);
-      return out;
+  const auto probe = [&](std::uint32_t s) {
+    if (probing || h.process(survivor).fault(s).has_value()) return;
+    probing = true;
+    Buffer b(8);
+    b[0] = static_cast<std::uint8_t>(survivor);
+    b[2] = 0xF;  // probe tag
+    send_to(survivor, s, std::move(b), [&](Status) { probing = false; });
+  };
+  // A survivor whose members all run again takes part in phase B.
+  const auto recovered = [&](std::size_t i) {
+    if (i == victim) return false;
+    for (std::uint32_t s = 0; s < S; ++s) {
+      if (h.process(i).member(s).state() != GroupMember::State::running) {
+        return false;
+      }
     }
-
-    bool reset_done = false;
-    Status reset_status = Status::ok;
-    h.process(1).member().reset_group(2, [&](Status s, std::uint32_t) {
-      reset_status = s;
-      reset_done = true;
+    return true;
+  };
+  std::array<int, kProcs> done_b{};
+  std::function<void(std::size_t, int)> send_b = [&](std::size_t i, int k) {
+    if (k >= 2) return;
+    // With a nonzero mix, the designated survivor's first post-reset send
+    // is always cross-shard: a phase-A cross round addressed to an
+    // orphaned shard may legitimately time out, so this guarantees at
+    // least one cross-shard round runs against live sequencers.
+    const bool cross =
+        (p.mix_pct > 0 && k == 0 && i == survivor) || is_cross(i, k);
+    one_send(i, k, 0xB, cross, [&, i, k](Status) {
+      ++done_b[i];
+      send_b(i, k + 1);
     });
-    if (!h.run_until([&] { return reset_done; }, Duration::seconds(60))) {
-      out.report = "ResetGroup stalled: " + describe(p, sc) + "\n" +
-                   h.traces().dump_text(200);
-      return out;
-    }
-    out.reset_ok = reset_status == Status::ok;
-    if (!out.reset_ok) {
-      out.report = "ResetGroup failed (" + std::string(to_string(reset_status)) +
-                   "): " + describe(p, sc);
-      return out;
+  };
+  if (crash && (S > 1 || orphaned(0))) {
+    for (std::uint32_t s = 0; s < S; ++s) {
+      if (!orphaned(s)) continue;  // sequencer lives on
+      const std::string shard = S > 1 ? " shard " + std::to_string(s) : "";
+      // The survivor must notice the dead sequencer before it can reset;
+      // probe until its fault callback fires.
+      if (!h.run_until(
+              [&] {
+                if (!h.process(survivor).fault(s).has_value()) probe(s);
+                return h.process(survivor).fault(s).has_value();
+              },
+              Duration::seconds(60))) {
+        out.report = "fault never observed" + shard + ": " + describe(p, sc);
+        return out;
+      }
+      bool reset_done = false;
+      Status reset_status = Status::ok;
+      h.process(survivor).member(s).reset_group(
+          2, [&](Status st, std::uint32_t) {
+            reset_status = st;
+            reset_done = true;
+          });
+      if (!h.run_until([&] { return reset_done; }, Duration::seconds(60))) {
+        out.report = "ResetGroup stalled" + shard + ": " + describe(p, sc) +
+                     "\n" + h.traces().dump_text(200);
+        return out;
+      }
+      out.reset_ok = reset_status == Status::ok;
+      if (!out.reset_ok) {
+        out.report = "ResetGroup failed (" +
+                     std::string(to_string(reset_status)) + ")" + shard +
+                     ": " + describe(p, sc);
+        return out;
+      }
     }
 
-    // Wait for every survivor to finish recovery, then phase B.
+    // Wait for every survivor to finish recovery, then phase B from those
+    // that did.
     h.run_until(
         [&] {
-          for (std::size_t i = 1; i < kMembers; ++i) {
-            if (h.process(i).member().state() != GroupMember::State::running) {
-              return false;
-            }
+          for (std::size_t i = 0; i < kProcs; ++i) {
+            if (i != victim && !recovered(i)) return false;
           }
           return true;
         },
         Duration::seconds(30));
-
-    std::array<int, kMembers> done_b{};
-    std::function<void(std::size_t, int)> send_b = [&](std::size_t i, int k) {
-      if (k >= 2) return;
-      Buffer b(8);
-      b[0] = static_cast<std::uint8_t>(i);
-      b[1] = static_cast<std::uint8_t>(k);
-      b[2] = 0xB;  // phase tag
-      h.process(i).user_send(std::move(b), [&, i, k](Status) {
-        ++done_b[i];
-        send_b(i, k + 1);
-      });
-    };
-    for (std::size_t i = 1; i < kMembers; ++i) {
-      if (h.process(i).member().state() == GroupMember::State::running) {
-        send_b(i, 0);
-      }
+    for (std::size_t i = 0; i < kProcs; ++i) {
+      if (recovered(i)) send_b(i, 0);
     }
     if (!h.run_until(
             [&] {
-              for (std::size_t i = 1; i < kMembers; ++i) {
-                if (h.process(i).member().state() ==
-                        GroupMember::State::running &&
-                    done_b[i] < 2) {
-                  return false;
-                }
+              for (std::size_t i = 0; i < kProcs; ++i) {
+                if (recovered(i) && done_b[i] < 2) return false;
               }
               return true;
             },
-            Duration::seconds(60))) {
+            Duration::seconds(120))) {
       out.report = "phase B stalled: " + describe(p, sc) + "\n" +
                    h.traces().dump_text(200);
       return out;
@@ -292,24 +399,30 @@ inline PropertyOutcome run_property_case(const PropertyParams& p) {
   h.run_until([] { return false; }, Duration::millis(800));
 
   check::OracleOptions opts;
-  if (sc == 2 || sc == 3) {
+  if (crash) {
     // The crash only severs the NIC: the victim keeps executing locally
     // and (as a partitioned sequencer) may expel the unreachable members
     // and complete sends against its solo view. A real fail-stop station's
-    // post-crash actions are unobservable — truncate its ring at the crash
+    // post-crash actions are unobservable — truncate its rings at the crash
     // instant; its pre-crash completions still bind the survivors.
-    opts.ring_cutoffs.emplace_back("m" + std::to_string(crash_victim),
-                                   crash_at);
+    if (S > 1) opts.ring_cutoffs.emplace_back(h.node_label(victim), crash_at);
+    for (std::uint32_t s = 0; s < S; ++s) {
+      opts.ring_cutoffs.emplace_back(h.label(victim, s), crash_at);
+    }
   }
-  for (std::size_t i = 0; i < kMembers; ++i) {
-    // A crashed station's member may never learn its NIC died (nothing
-    // left to send, so no timeout fires) and idles in `running` forever —
+  for (std::size_t i = 0; i < kProcs; ++i) {
+    // A crashed station's members may never learn the NIC died (nothing
+    // left to send, so no timeout fires) and idle in `running` forever —
     // exclude the victim explicitly, not just by final state.
-    if ((sc == 2 || sc == 3) && i == crash_victim) continue;
-    const bool running =
-        h.process(i).member().state() == GroupMember::State::running;
-    const bool durable = running && (sc != 3 || p.resilience >= 1);
-    if (durable) opts.durable_rings.push_back("m" + std::to_string(i));
+    if (crash && i == victim) continue;
+    for (std::uint32_t s = 0; s < S; ++s) {
+      if (h.process(i).member(s).state() != GroupMember::State::running) {
+        continue;
+      }
+      if (!orphaned(s) || p.resilience >= 1) {
+        opts.durable_rings.push_back(h.label(i, s));
+      }
+    }
   }
   out.verdict = h.check_conformance(opts);
   if (!out.verdict.ok()) {
@@ -318,6 +431,8 @@ inline PropertyOutcome run_property_case(const PropertyParams& p) {
   }
   for (std::size_t i = 0; i < h.size(); ++i) {
     out.injected += h.process(i).faults().fault_stats().injected();
+    out.xsends += h.process(i).node().stats().xsends.load();
+    out.xdeliveries += h.process(i).node().stats().xdeliveries.load();
   }
   return out;
 }

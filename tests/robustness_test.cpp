@@ -77,9 +77,8 @@ TEST(Robustness, GroupSurvivesGarbageInjectedAtMembers) {
 
   Rng rng(99);
   // Periodic garbage injection straight into the wire.
-  auto inject = std::make_shared<std::function<void()>>();
   int injected = 0;
-  *inject = [&h, &rng, &injected, inject] {
+  std::function<void()> inject = [&h, &rng, &injected, &inject] {
     if (injected >= 200) return;
     ++injected;
     sim::Frame f;
@@ -89,20 +88,19 @@ TEST(Robustness, GroupSurvivesGarbageInjectedAtMembers) {
     for (auto& b : junk) b = static_cast<std::uint8_t>(rng.next());
     f.payload = std::move(junk);
     h.world().node(0).nic().send(std::move(f));
-    h.world().node(0).set_timer(Duration::micros(500), *inject);
+    h.world().node(0).set_timer(Duration::micros(500), inject);
   };
-  (*inject)();
+  inject();
 
   int completed = 0;
-  auto pump = std::make_shared<std::function<void(int)>>();
-  *pump = [&h, &completed, pump](int k) {
+  std::function<void(int)> pump = [&h, &completed, &pump](int k) {
     if (k >= 30) return;
-    h.process(1).user_send(make_pattern_buffer(64), [&, k, pump](Status s) {
+    h.process(1).user_send(make_pattern_buffer(64), [&, k](Status s) {
       if (s == Status::ok) ++completed;
-      (*pump)(k + 1);
+      pump(k + 1);
     });
   };
-  (*pump)(0);
+  pump(0);
 
   ASSERT_TRUE(h.run_until(
       [&] {

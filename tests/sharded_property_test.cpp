@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "sharded_property_harness.hpp"
+#include "property_harness.hpp"
 
 namespace amoeba::group::prop {
 namespace {
@@ -27,21 +27,22 @@ int env_count(const char* name, int fallback) {
   return n > 0 ? n : fallback;
 }
 
-std::vector<ShardedParams> sweep_params() {
+std::vector<PropertyParams> sweep_params() {
   const int seeds = env_count("AMOEBA_PROPERTY_SEEDS", 3);
   constexpr int kMixes[] = {0, 10, 50};
   const bool full_mix_sweep =
       std::getenv("AMOEBA_PROPERTY_MIX_SWEEP") != nullptr;
-  std::vector<ShardedParams> out;
+  std::vector<PropertyParams> out;
   for (int s = 0; s < seeds; ++s) {
     for (const std::uint32_t shards : {2u, 4u}) {
       for (const Method m : {Method::pb, Method::bb}) {
         for (const std::uint32_t r : {0u, 1u}) {
           for (const int mix : kMixes) {
             if (!full_mix_sweep && mix != kMixes[s % 3]) continue;
-            out.push_back(ShardedParams{
+            out.push_back(PropertyParams{
                 .seed = 2000 + static_cast<std::uint64_t>(s),
-                .n_shards = shards, .method = m, .resilience = r,
+                .n_shards = static_cast<std::uint8_t>(shards), .method = m,
+                .resilience = r,
                 .mix_pct = mix});
           }
         }
@@ -51,11 +52,11 @@ std::vector<ShardedParams> sweep_params() {
   return out;
 }
 
-class ShardedSweep : public ::testing::TestWithParam<ShardedParams> {};
+class ShardedSweep : public ::testing::TestWithParam<PropertyParams> {};
 
 TEST_P(ShardedSweep, OracleHoldsUnderNemesis) {
-  const ShardedParams p = GetParam();
-  const ShardedOutcome out = run_sharded_case(p);
+  const PropertyParams p = GetParam();
+  const PropertyOutcome out = run_property_case(p);
   ASSERT_TRUE(out.formed) << out.report;
   ASSERT_TRUE(out.reset_ok) << out.report;
   EXPECT_TRUE(out.verdict.ok()) << out.report;
@@ -72,9 +73,9 @@ TEST_P(ShardedSweep, OracleHoldsUnderNemesis) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ShardedSweep, ::testing::ValuesIn(sweep_params()),
-    [](const ::testing::TestParamInfo<ShardedParams>& ti) {
-      const ShardedParams& p = ti.param;
-      std::string sc = sharded_scenario_name(pick_sharded_scenario(p));
+    [](const ::testing::TestParamInfo<PropertyParams>& ti) {
+      const PropertyParams& p = ti.param;
+      std::string sc = scenario_name(p, pick_scenario(p));
       for (char& c : sc) {
         if (c == '-') c = '_';
       }

@@ -135,15 +135,14 @@ TEST(StateTransfer, JoinerWithTrafficInFlight) {
 
   // Continuous updates throughout the join.
   int sent = 0;
-  auto pump = std::make_shared<std::function<void(int)>>();
-  *pump = [&, pump](int k) {
+  std::function<void(int)> pump = [&](int k) {
     if (k >= 40) return;
-    c.h.process(1).user_send(add_op(1), [&, k, pump](Status s) {
+    c.h.process(1).user_send(add_op(1), [&, k](Status s) {
       if (s == Status::ok) ++sent;
-      (*pump)(k + 1);
+      pump(k + 1);
     });
   };
-  (*pump)(0);
+  pump(0);
 
   SimProcess& newcomer = c.h.add_process();
   c.replicas.push_back(std::make_unique<Replica>(newcomer));
@@ -224,15 +223,14 @@ TEST(StateTransfer, JoinerWithTrafficInFlightAcrossBatchModes) {
     ASSERT_TRUE(c.start()) << "batch_count=" << bc;
 
     int sent = 0;
-    auto pump = std::make_shared<std::function<void(int)>>();
-    *pump = [&, pump](int k) {
+    std::function<void(int)> pump = [&](int k) {
       if (k >= 30) return;
-      c.h.process(1).user_send(add_op(1), [&, k, pump](Status s) {
+      c.h.process(1).user_send(add_op(1), [&, k](Status s) {
         if (s == Status::ok) ++sent;
-        (*pump)(k + 1);
+        pump(k + 1);
       });
     };
-    (*pump)(0);
+    pump(0);
 
     SimProcess& newcomer = c.h.add_process();
     c.replicas.push_back(std::make_unique<Replica>(newcomer));
@@ -361,15 +359,14 @@ TEST(StateTransfer, JoinerMidCompactionFallsBackToSnapshot) {
     return std::move(w).take();
   };
   int sent = 0;
-  auto pump = std::make_shared<std::function<void(int)>>();
-  *pump = [&, pump, padded_op](int k) {
+  std::function<void(int)> pump = [&, padded_op](int k) {
     if (k >= 60) return;
-    c.h.process(0).user_send(padded_op(1), [&, k, pump](Status s) {
+    c.h.process(0).user_send(padded_op(1), [&, k](Status s) {
       if (s == Status::ok) ++sent;
-      (*pump)(k + 1);
+      pump(k + 1);
     });
   };
-  (*pump)(0);
+  pump(0);
   ASSERT_TRUE(c.h.run_until([&] { return sent == 60; }, Duration::seconds(60)));
   // Let checkpoint horizons piggyback, the compaction notice land, and
   // every provider's log floor actually move past the joiner's position.
