@@ -159,7 +159,11 @@ struct GroupConfig {
   std::uint32_t group_tag = 0;
   /// Accept cross-shard coordination traffic (xshard_send / xshard_commit)
   /// at this shard's sequencer. Off by default: the paper protocol rejects
-  /// the new wire types, so Fig 1-8 runs are bit-for-bit unchanged.
+  /// the new wire types. A group::Node turns it on for every member it
+  /// hosts, and every SimProcess hosts its members through a Node, so all
+  /// simulated members run with it on. With no cross-shard sender it only
+  /// arms the sequencer's quarantine timer after a ResetGroup or hand-off;
+  /// traces and the Fig 1-8 output are those of bare members.
   bool cross_shard = false;
   /// Retry cadence and budget for each phase of the Node's xshard_send /
   /// xshard_commit exchanges (each is one unicast + one reply). The

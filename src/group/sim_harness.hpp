@@ -3,11 +3,13 @@
 // Each SimProcess is one station: a FLIP stack and a fault device over the
 // simulated NIC, and a group::Node hosting the process's member of every
 // group ("shard") of the experiment. A classic single-group run is the
-// one-shard case, where the Node adds nothing: single-shard traffic is the
-// unmodified paper protocol. The process also models the user level (the
-// blocking SendToGroup / ReceiveFromGroup pair and its thread context
-// switches) for every delivery of every shard, so experiments charge the
-// same per-layer costs the paper's Table 3 reports. Used by the test suite,
+// one-shard case, and its traffic is the paper protocol. Its member does
+// run with GroupConfig::cross_shard on, as the Node sets it for every
+// member; without a cross-shard sender that changes no trace event or
+// delivery. The process also models the user level (the blocking
+// SendToGroup / ReceiveFromGroup pair and its thread context switches)
+// for every delivery of every shard, so experiments charge the same
+// per-layer costs the paper's Table 3 reports. Used by the test suite,
 // every simulator bench, and the simulator examples.
 //
 // Tracing: each member writes its own ring, collected as "m<i>" (and
@@ -72,14 +74,12 @@ class SimProcess {
   /// GroupConfig whose `durability` is not `off` for the member to use it.
   /// Durability and restart are single-shard only.
   void enable_durability();
-  storage::MemStorage* storage() { return storage_.get(); }
   DurableLog* durable_log() { return log_.get(); }
 
   /// Crash-with-disk: the node fail-stops and the storage loses whatever
   /// was never fsynced (plus an optional torn tail of the last-synced
   /// segment). The member object dies with the node; the storage survives.
   void crash_with_disk(const storage::MemStorage::CrashOptions& opts);
-  void crash_with_disk() { crash_with_disk({}); }
 
   /// Power the node back on, re-open the durable log over the surviving
   /// storage, and rebuild the member from it (GroupMember::recover_from_log

@@ -573,9 +573,7 @@ void run_reset_workload(Harness& h) {
 }
 
 template <class List>
-std::vector<std::tuple<SeqNum, MemberId, MessageKind, std::uint32_t,
-                       std::uint64_t>>
-digest(const List& delivered) {
+auto digest(const List& delivered) {
   std::vector<std::tuple<SeqNum, MemberId, MessageKind, std::uint32_t,
                          std::uint64_t>>
       out;

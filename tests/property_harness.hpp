@@ -1,30 +1,33 @@
 // Seed-swept property harness: one randomized workload + nemesis schedule
 // per case, checked by the ConformanceOracle. One runner serves both
-// sweeps: the classic single-group one (PropertySweep) and the sharded one
-// with cross-shard atomic multicast (ShardedSweep), whose cases add a shard
-// count and a cross-shard mix.
+// sweeps: the classic single-group one (PropertySweep,
+// tests/property_harness.cpp) and the sharded one with cross-shard atomic
+// multicast (ShardedSweep, tests/sharded_property_test.cpp). Each sweep
+// turns its own parameters into a PropertyCase (scenario, send budget,
+// recovery, deadline); the runner executes the case.
 //
 // Each case runs 4 processes. With S shards every process hosts a member
 // of each; shard s is created — and initially sequenced — by process
-// s mod 4. The scenario is picked by hashing the parameters:
+// s mod 4. The scenarios:
 //
 //   noise            background noise only (drop / duplicate / corrupt /
 //                    delay)
 //   partition        noise + a both-ways partition of process 3, healed
-//                    mid-run (single-group cases only)
+//                    mid-run
 //   member-crash     noise + station 3 crashes. Single-group: a plain
 //   (edge-crash)     receiver, expelled. Sharded: with S = 2 it holds no
 //                    sequencer role, with S = 4 it sequences shard 3
 //   sequencer-crash  noise + station 0, the sequencer of shard 0, crashes
 //
-// After a crash the designated survivor of every orphaned shard (one whose
-// sequencer lived on the crashed station) probes until its member observes
-// the fault and runs ResetGroup; then a second send phase completes under
-// the new views. The oracle judges the whole trace: per-shard stream
-// invariants, plus exactly-once / genuineness / atomicity / relative order
-// for every cross-shard message. On a violation the report carries the
-// seed, the parameters, and the merged trace dump, so any failure replays
-// with `--gtest_filter=...` on the printed case name.
+// A case with a phase B follows its crash with recovery: the designated
+// survivor of every orphaned shard (one whose sequencer lived on the
+// crashed station) probes until its member observes the fault and runs
+// ResetGroup; then a second send phase completes under the new views. The
+// oracle judges the whole trace: per-shard stream invariants, plus
+// exactly-once / genuineness / atomicity / relative order for every
+// cross-shard message. A failure reports the oracle verdict and the
+// merged trace dump under the gtest case name, which replays it with
+// `--gtest_filter=...`.
 //
 // Durability claims are scoped to what the protocol actually promises:
 // members whose final state is `running` must hold every message that was
@@ -33,13 +36,12 @@
 // sequencer).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
-#include <sstream>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "check/oracle.hpp"
@@ -49,82 +51,43 @@ namespace amoeba::group::prop {
 
 using transport::NemesisEvent;
 
-struct PropertyParams {
+enum Scenario : int { noise, partition, member_crash, sequencer_crash };
+
+/// One case of either sweep, as its sweep built it.
+struct PropertyCase {
   std::uint64_t seed{1};
-  // 1: the classic single-group case. 2 or 4: a sharded case.
-  std::uint8_t n_shards{1};
+  std::uint32_t n_shards{1};  // 1: one group, sent to with user_send
   Method method{Method::pb};
-  std::uint8_t pad[2]{};
   std::uint32_t resilience{0};
-  // Sequencer packing cap for the case: 1 disables batching entirely (every
-  // message rides its own seq_data frame), larger values exercise the
-  // seq_packed / seq_accept_range path under the same nemesis schedules.
-  std::uint32_t batch_count{16};
-  std::int32_t mix_pct{0};  // % of sends that are 2-shard atomic multicasts
+  std::size_t batch_count{16};
+  int mix_pct{0};  // % of sends that are 2-shard atomic multicasts
+  bool durable{false};  // every process on a group_commit durable log
+  Scenario scenario{noise};
+  int per_sender{4};  // phase-A sends from each process
+  // After the crash: ResetGroup of every orphaned shard, then phase B.
+  bool phase_b{false};
+  // Phase B from every survivor; otherwise only from the survivors whose
+  // members all run again.
+  bool phase_b_from_all{false};
+  Duration deadline;  // simulated-time bound on phase A, and on phase B
 };
-// CTest names each case after gtest's "<size>-byte object <bytes>" dump of
-// its parameter, so the size and the zeroed padding keep the names stable.
-static_assert(sizeof(PropertyParams) == 24 &&
-              std::has_unique_object_representations_v<PropertyParams>);
 
 struct PropertyOutcome {
   bool formed{false};
-  int scenario{-1};
-  bool reset_ok{true};  // crash scenarios: every ResetGroup completed ok
+  bool reset_ok{true};  // every ResetGroup completed ok
   check::Verdict verdict{};
-  std::string report;         // params + trace dump; filled on any failure
+  std::string report;         // what failed + trace dump; empty on success
   std::uint64_t injected{0};  // faults the nemesis actually applied
   std::uint64_t xsends{0};       // cross-shard rounds admitted
   std::uint64_t xdeliveries{0};  // cross-shard up-deliveries
 };
 
-enum Scenario : int { noise, partition, member_crash, sequencer_crash };
-
-inline std::string scenario_name(const PropertyParams& p, int sc) {
-  switch (sc) {
-    case noise: return "noise";
-    case partition: return "partition";
-    case member_crash: return p.n_shards > 1 ? "edge-crash" : "member-crash";
-    case sequencer_crash: return "sequencer-crash";
-    default: return "?";
-  }
-}
-
-/// Deterministic scenario choice: every parameter tuple maps to one
-/// scenario, and a sweep over consecutive seeds hits all of them for every
-/// protocol variant.
-inline int pick_scenario(const PropertyParams& p) {
-  std::uint64_t h = p.seed * 0x9E3779B97F4A7C15ULL;
-  if (p.n_shards == 1) {
-    h ^= (static_cast<std::uint64_t>(p.method) << 7) ^
-         (static_cast<std::uint64_t>(p.resilience) << 3);
-    h *= 0xBF58476D1CE4E5B9ULL;
-    return static_cast<int>((h >> 33) % 4);
-  }
-  h ^= (static_cast<std::uint64_t>(p.method) << 9) ^
-       (static_cast<std::uint64_t>(p.resilience) << 5) ^
-       (static_cast<std::uint64_t>(p.n_shards) << 2) ^
-       static_cast<std::uint64_t>(p.mix_pct);
-  h *= 0xBF58476D1CE4E5B9ULL;
-  constexpr int kSharded[] = {noise, member_crash, sequencer_crash};
-  return kSharded[(h >> 33) % 3];
-}
-
-inline std::string describe(const PropertyParams& p, int sc) {
-  std::ostringstream os;
-  os << "seed=" << p.seed;
-  if (p.n_shards > 1) os << " shards=" << unsigned{p.n_shards};
-  os << " method="
-     << (p.method == Method::pb ? "pb"
-                                : (p.method == Method::bb ? "bb" : "dynamic"))
-     << " r=" << p.resilience;
-  if (p.n_shards > 1) {
-    os << " mix=" << p.mix_pct << "%";
-  } else {
-    os << " batch_count=" << p.batch_count;
-  }
-  os << " scenario=" << scenario_name(p, sc);
-  return os.str();
+/// A positive count from the environment, else `fallback`: the sweeps'
+/// width knobs.
+inline int env_count(const char* name, int fallback) {
+  const char* v = std::getenv(name);
+  const int n = v == nullptr ? 0 : std::atoi(v);
+  return n > 0 ? n : fallback;
 }
 
 /// SplitMix64: the per-send decision stream (cross vs local, which shards).
@@ -135,10 +98,10 @@ inline std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-inline PropertyOutcome run_property_case(const PropertyParams& p) {
+inline PropertyOutcome run_property_case(const PropertyCase& c) {
   constexpr std::size_t kProcs = 4;
-  const int sc = pick_scenario(p);
-  const std::uint32_t S = p.n_shards;
+  const Scenario sc = c.scenario;
+  const std::uint32_t S = c.n_shards;
   const bool crash = sc == member_crash || sc == sequencer_crash;
   const std::size_t victim = sc == member_crash ? 3u : 0u;
   // Shard s's sequencer lives on station s mod 4.
@@ -147,46 +110,39 @@ inline PropertyOutcome run_property_case(const PropertyParams& p) {
   };
 
   GroupConfig cfg;
-  cfg.resilience = p.resilience;
-  cfg.method = p.method;
-  cfg.batch_count = p.batch_count;
+  cfg.resilience = c.resilience;
+  cfg.method = c.method;
+  cfg.batch_count = c.batch_count;
   cfg.send_retry = Duration::millis(30);
   cfg.nack_retry = Duration::millis(10);
   cfg.join_retry = Duration::millis(50);
   cfg.status_interval = Duration::millis(100);
   cfg.invite_interval = Duration::millis(50);
 
-  // AMOEBA_DURABILITY=1 re-runs the single-group sweep with every member on
-  // a durable log in group_commit mode: the protocol obligations must hold
-  // regardless of the logging mode, and the sanitizer CI jobs get the
-  // log's append/fsync path under the same nemesis schedules.
-  const char* dur_env = std::getenv("AMOEBA_DURABILITY");
-  const bool durable_mode = S == 1 && dur_env != nullptr && dur_env[0] == '1';
-  if (durable_mode) {
+  if (c.durable) {
     cfg.durability = Durability::group_commit;
     cfg.fsync_interval = Duration::millis(10);
   }
 
-  SimGroupHarness h(kProcs, cfg, sim::CostModel::mc68030_ether10(), p.seed,
+  SimGroupHarness h(kProcs, cfg, sim::CostModel::mc68030_ether10(), c.seed,
                     S);
-  if (durable_mode) {
+  if (c.durable) {
     for (std::size_t i = 0; i < kProcs; ++i) {
       h.process(i).enable_durability();
     }
   }
 
   PropertyOutcome out;
-  out.scenario = sc;
   out.formed = h.form_group();
   if (!out.formed) {
-    out.report = "group formation failed: " + describe(p, sc);
+    out.report = "group formation failed";
     return out;
   }
 
   // --- Nemesis schedule -----------------------------------------------------
   NemesisEvent noisy;
   noisy.kind = NemesisEvent::Kind::set_plan;
-  noisy.plan.drop = 0.05 + 0.03 * static_cast<double>(p.seed % 2);
+  noisy.plan.drop = 0.05 + 0.03 * static_cast<double>(c.seed % 2);
   noisy.plan.duplicate = 0.02;
   noisy.plan.corrupt = 0.02;
   noisy.plan.delay = 0.03;
@@ -237,7 +193,7 @@ inline PropertyOutcome run_property_case(const PropertyParams& p) {
   const auto one_send = [&](std::size_t i, int k, std::uint8_t phase,
                             bool cross, const std::function<void(Status)>& cb) {
     const std::uint64_t r = mix64(
-        p.seed * std::uint64_t{1315423911} ^
+        c.seed * std::uint64_t{1315423911} ^
         (static_cast<std::uint64_t>(i) + 1) * std::uint64_t{2654435761} ^
         (static_cast<std::uint64_t>(phase) << 32) ^
         static_cast<std::uint64_t>(k) * std::uint64_t{40503});
@@ -264,7 +220,7 @@ inline PropertyOutcome run_property_case(const PropertyParams& p) {
   // of the requested percentage.
   const auto is_cross = [&](std::size_t i, int k) {
     const int n = k * static_cast<int>(kProcs) + static_cast<int>(i);
-    return p.mix_pct > 0 && ((n + 1) * p.mix_pct) / 100 > (n * p.mix_pct) / 100;
+    return c.mix_pct > 0 && ((n + 1) * c.mix_pct) / 100 > (n * c.mix_pct) / 100;
   };
 
   // --- Phase A: chained sends from every process -----------------------------
@@ -272,11 +228,9 @@ inline PropertyOutcome run_property_case(const PropertyParams& p) {
   // members legitimately fail their sends, a crashed origin times out its
   // rounds; the oracle's validity and atomicity obligations separately pin
   // every `ok` to real deliveries.
-  const int per_sender =
-      S == 1 ? (sc == sequencer_crash ? 2 : 4) : (crash ? 3 : 4);
   std::array<int, kProcs> terminal{};
   std::function<void(std::size_t, int)> send_k = [&](std::size_t i, int k) {
-    if (k >= per_sender) return;
+    if (k >= c.per_sender) return;
     one_send(i, k, 0xA, is_cross(i, k), [&, i, k](Status) {
       ++terminal[i];
       send_k(i, k + 1);
@@ -285,19 +239,15 @@ inline PropertyOutcome run_property_case(const PropertyParams& p) {
   for (std::size_t i = 0; i < kProcs; ++i) send_k(i, 0);
 
   const auto phase_a_done = [&] {
-    for (std::size_t i = 0; i < kProcs; ++i) {
-      if (terminal[i] < per_sender) return false;
-    }
-    return true;
+    return std::ranges::all_of(terminal,
+                               [&](int n) { return n >= c.per_sender; });
   };
-  if (!h.run_until(phase_a_done, Duration::seconds(120))) {
-    out.report = "phase A stalled: " + describe(p, sc) + "\n" +
-                 h.traces().dump_text(200);
+  if (!h.run_until(phase_a_done, c.deadline)) {
+    out.report = "phase A stalled\n" + h.traces().dump_text(200);
     return out;
   }
 
-  // --- Crash scenarios: reset every orphaned shard, then phase B ------------
-  // (A single-group member crash orphans nothing and needs no phase B.)
+  // --- Recovery: reset every orphaned shard, then phase B -------------------
   const std::size_t survivor = (victim + 1) % kProcs;
   bool probing = false;
   const auto probe = [&](std::uint32_t s) {
@@ -308,15 +258,16 @@ inline PropertyOutcome run_property_case(const PropertyParams& p) {
     b[2] = 0xF;  // probe tag
     send_to(survivor, s, std::move(b), [&](Status) { probing = false; });
   };
-  // A survivor whose members all run again takes part in phase B.
   const auto recovered = [&](std::size_t i) {
-    if (i == victim) return false;
     for (std::uint32_t s = 0; s < S; ++s) {
       if (h.process(i).member(s).state() != GroupMember::State::running) {
         return false;
       }
     }
     return true;
+  };
+  const auto in_phase_b = [&](std::size_t i) {
+    return i != victim && (c.phase_b_from_all || recovered(i));
   };
   std::array<int, kProcs> done_b{};
   std::function<void(std::size_t, int)> send_b = [&](std::size_t i, int k) {
@@ -326,25 +277,24 @@ inline PropertyOutcome run_property_case(const PropertyParams& p) {
     // orphaned shard may legitimately time out, so this guarantees at
     // least one cross-shard round runs against live sequencers.
     const bool cross =
-        (p.mix_pct > 0 && k == 0 && i == survivor) || is_cross(i, k);
+        (c.mix_pct > 0 && k == 0 && i == survivor) || is_cross(i, k);
     one_send(i, k, 0xB, cross, [&, i, k](Status) {
       ++done_b[i];
       send_b(i, k + 1);
     });
   };
-  if (crash && (S > 1 || orphaned(0))) {
+  if (c.phase_b) {
     for (std::uint32_t s = 0; s < S; ++s) {
       if (!orphaned(s)) continue;  // sequencer lives on
-      const std::string shard = S > 1 ? " shard " + std::to_string(s) : "";
+      const std::string where = " shard " + std::to_string(s);
       // The survivor must notice the dead sequencer before it can reset;
       // probe until its fault callback fires.
-      if (!h.run_until(
-              [&] {
-                if (!h.process(survivor).fault(s).has_value()) probe(s);
-                return h.process(survivor).fault(s).has_value();
-              },
-              Duration::seconds(60))) {
-        out.report = "fault never observed" + shard + ": " + describe(p, sc);
+      const auto observed = [&] {
+        probe(s);
+        return h.process(survivor).fault(s).has_value();
+      };
+      if (!h.run_until(observed, Duration::seconds(60))) {
+        out.report = "fault never observed in" + where;
         return out;
       }
       bool reset_done = false;
@@ -355,21 +305,19 @@ inline PropertyOutcome run_property_case(const PropertyParams& p) {
             reset_done = true;
           });
       if (!h.run_until([&] { return reset_done; }, Duration::seconds(60))) {
-        out.report = "ResetGroup stalled" + shard + ": " + describe(p, sc) +
-                     "\n" + h.traces().dump_text(200);
+        out.report = "ResetGroup stalled in" + where + "\n" +
+                     h.traces().dump_text(200);
         return out;
       }
       out.reset_ok = reset_status == Status::ok;
       if (!out.reset_ok) {
         out.report = "ResetGroup failed (" +
-                     std::string(to_string(reset_status)) + ")" + shard +
-                     ": " + describe(p, sc);
+                     std::string(to_string(reset_status)) + ") in" + where;
         return out;
       }
     }
 
-    // Wait for every survivor to finish recovery, then phase B from those
-    // that did.
+    // Wait for every survivor to finish recovery, then phase B.
     h.run_until(
         [&] {
           for (std::size_t i = 0; i < kProcs; ++i) {
@@ -379,18 +327,17 @@ inline PropertyOutcome run_property_case(const PropertyParams& p) {
         },
         Duration::seconds(30));
     for (std::size_t i = 0; i < kProcs; ++i) {
-      if (recovered(i)) send_b(i, 0);
+      if (in_phase_b(i)) send_b(i, 0);
     }
     if (!h.run_until(
             [&] {
               for (std::size_t i = 0; i < kProcs; ++i) {
-                if (recovered(i) && done_b[i] < 2) return false;
+                if (in_phase_b(i) && done_b[i] < 2) return false;
               }
               return true;
             },
-            Duration::seconds(120))) {
-      out.report = "phase B stalled: " + describe(p, sc) + "\n" +
-                   h.traces().dump_text(200);
+            c.deadline)) {
+      out.report = "phase B stalled\n" + h.traces().dump_text(200);
       return out;
     }
   }
@@ -419,15 +366,15 @@ inline PropertyOutcome run_property_case(const PropertyParams& p) {
       if (h.process(i).member(s).state() != GroupMember::State::running) {
         continue;
       }
-      if (!orphaned(s) || p.resilience >= 1) {
+      if (!orphaned(s) || c.resilience >= 1) {
         opts.durable_rings.push_back(h.label(i, s));
       }
     }
   }
   out.verdict = h.check_conformance(opts);
   if (!out.verdict.ok()) {
-    out.report = "oracle violation: " + describe(p, sc) + "\n" +
-                 out.verdict.to_string() + h.traces().dump_text(400);
+    out.report = "oracle violation\n" + out.verdict.to_string() +
+                 h.traces().dump_text(400);
   }
   for (std::size_t i = 0; i < h.size(); ++i) {
     out.injected += h.process(i).faults().fault_stats().injected();
