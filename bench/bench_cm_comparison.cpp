@@ -44,7 +44,7 @@ CmRun run_cm(std::size_t members, int broadcasts) {
     auto* raw = p.get();
     p->member = std::make_unique<baselines::CmMember>(
         p->flip, p->exec, ring[i], flip::group_address(0xCC), ring,
-        static_cast<std::uint32_t>(i), baselines::CmConfig{},
+        static_cast<std::uint32_t>(i),
         [raw](const baselines::CmMember::Delivery&) { ++raw->delivered; });
     procs.push_back(std::move(p));
   }
@@ -184,7 +184,7 @@ double cm_throughput(std::size_t members, Duration sim_time) {
     auto* raw = p.get();
     p->member = std::make_unique<baselines::CmMember>(
         p->flip, p->exec, ring[i], flip::group_address(0xCD), ring,
-        static_cast<std::uint32_t>(i), baselines::CmConfig{},
+        static_cast<std::uint32_t>(i),
         [raw](const baselines::CmMember::Delivery& d) {
           // Same user-level receive cost the Amoeba harness charges.
           raw->exec.charge(raw->exec.costs().user_deliver +

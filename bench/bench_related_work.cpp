@@ -48,7 +48,7 @@ PsyncRun run_psync(std::size_t members, int broadcasts) {
     auto* raw = p.get();
     p->member = std::make_unique<baselines::PsyncMember>(
         p->flip, p->exec, ring[i], flip::group_address(0xB7), ring,
-        static_cast<std::uint32_t>(i), baselines::PsyncConfig{},
+        static_cast<std::uint32_t>(i),
         [raw, &world](const baselines::PsyncMember::Delivery&) {
           ++raw->delivered;
           raw->last_delivery = world.now();

@@ -31,7 +31,7 @@ int main() {
   };
   const double user = c.user_send.to_micros() + c.ctx_switch.to_micros() +
                       c.user_deliver.to_micros();
-  const double grp = c.group_send.to_micros() + c.group_sequence.to_micros() +
+  const double grp = c.group_send.to_micros() + c.group_sequence().to_micros() +
                      2 * c.group_per_member.to_micros() +
                      c.group_deliver.to_micros();
   const double flp = 4 * c.flip_packet.to_micros();
@@ -60,10 +60,10 @@ int main() {
       "Paper: total 2740 us; group protocol alone 740 us. Our group\n"
       "budget: G1=%.0f G2=%.0f G3=%.0f = %.0f us.\n",
       sim::CostModel().group_send.to_micros(),
-      sim::CostModel().group_sequence.to_micros(),
+      sim::CostModel().group_sequence().to_micros(),
       sim::CostModel().group_deliver.to_micros(),
       sim::CostModel().group_send.to_micros() +
-          sim::CostModel().group_sequence.to_micros() +
+          sim::CostModel().group_sequence().to_micros() +
           sim::CostModel().group_deliver.to_micros());
   return 0;
 }

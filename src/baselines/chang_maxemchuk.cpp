@@ -26,6 +26,12 @@ struct CmWire {
 // accounting of both protocols is comparable.
 constexpr std::size_t kCmHeader = 60;
 
+// Retry cadences and history depth, the group layer's defaults.
+constexpr Duration kSendRetry = Duration::millis(100);
+constexpr int kSendRetries = 5;
+constexpr Duration kNackRetry = Duration::millis(25);
+constexpr std::size_t kHistorySize = 128;
+
 Buffer encode_cm(const CmWire& m) {
   BufWriter w(kCmHeader + m.payload.size());
   w.u8(static_cast<std::uint8_t>(m.type));
@@ -59,14 +65,13 @@ std::optional<CmWire> decode_cm(std::span<const std::uint8_t> bytes) {
 CmMember::CmMember(flip::FlipStack& flip, transport::Executor& exec,
                    flip::Address my_address, flip::Address group,
                    std::vector<flip::Address> ring, std::uint32_t index,
-                   CmConfig config, DeliverCb deliver)
+                   DeliverCb deliver)
     : flip_(flip),
       exec_(exec),
       my_addr_(my_address),
       group_(group),
       ring_(std::move(ring)),
       index_(index),
-      cfg_(config),
       deliver_(std::move(deliver)) {
   flip_.join_group(group_, [this](flip::Address, flip::Address, BufView bytes) {
     on_packet(std::move(bytes));
@@ -111,9 +116,9 @@ void CmMember::transmit_pending() {
              [this, pkt = encode_cm(m)]() mutable {
                broadcast(std::move(pkt), 0);
              });
-  out_->timer = exec_.set_timer(cfg_.send_retry, [this] {
+  out_->timer = exec_.set_timer(kSendRetry, [this] {
     if (!out_.has_value()) return;
-    if (++out_->attempts > cfg_.send_retries) {
+    if (++out_->attempts > kSendRetries) {
       auto cb = std::move(out_->done);
       out_.reset();
       if (cb) cb(Status::timeout);
@@ -133,7 +138,7 @@ void CmMember::on_packet(BufView bytes) {
   if (!decoded.has_value()) return;
   const auto cost =
       decoded->type == CmType::ack && holds_token()
-          ? exec_.costs().group_sequence
+          ? exec_.costs().group_sequence()
           : exec_.costs().group_deliver +
                 exec_.costs().copy_time(decoded->payload.size());
   exec_.post(cost, [this, m = std::move(*decoded)]() mutable {
@@ -282,10 +287,10 @@ void CmMember::broadcast_ack(std::uint32_t ts, std::uint32_t sender,
 
 void CmMember::arm_ack_retry() {
   exec_.cancel_timer(ack_retry_timer_);
-  ack_retry_timer_ = exec_.set_timer(cfg_.nack_retry * 3, [this] {
+  ack_retry_timer_ = exec_.set_timer(kNackRetry * 3, [this] {
     ack_retry_timer_ = transport::kInvalidTimer;
     if (!my_last_ack_ts_.has_value()) return;
-    if (++ack_retries_ > cfg_.send_retries) {
+    if (++ack_retries_ > kSendRetries) {
       my_last_ack_ts_.reset();
       return;
     }
@@ -340,7 +345,7 @@ void CmMember::drain() {
     slots_.erase(it);
     if (history_.empty()) hist_base_ = d.timestamp;
     history_.push_back(d);
-    while (history_.size() > cfg_.history_size) {
+    while (history_.size() > kHistorySize) {
       history_.pop_front();
       ++hist_base_;
     }
@@ -390,7 +395,7 @@ void CmMember::fire_nack() {
   m.next_token = next_ts_ - first;  // range length, reusing the field
   ++stats_.nacks;
   broadcast(encode_cm(m), 0);
-  nack_timer_ = exec_.set_timer(cfg_.nack_retry, [this] { fire_nack(); });
+  nack_timer_ = exec_.set_timer(kNackRetry, [this] { fire_nack(); });
 }
 
 }  // namespace amoeba::baselines

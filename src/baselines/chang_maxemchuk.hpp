@@ -31,13 +31,6 @@
 
 namespace amoeba::baselines {
 
-struct CmConfig {
-  Duration send_retry = Duration::millis(100);
-  int send_retries = 5;
-  Duration nack_retry = Duration::millis(25);
-  std::size_t history_size = 128;
-};
-
 struct CmStats {
   std::uint64_t sends{0};
   std::uint64_t sends_completed{0};
@@ -67,7 +60,7 @@ class CmMember {
   CmMember(flip::FlipStack& flip, transport::Executor& exec,
            flip::Address my_address, flip::Address group,
            std::vector<flip::Address> ring, std::uint32_t index,
-           CmConfig config, DeliverCb deliver);
+           DeliverCb deliver);
   ~CmMember();
   CmMember(const CmMember&) = delete;
   CmMember& operator=(const CmMember&) = delete;
@@ -113,7 +106,6 @@ class CmMember {
   flip::Address group_;
   std::vector<flip::Address> ring_;
   std::uint32_t index_;
-  CmConfig cfg_;
   CmStats stats_;
   DeliverCb deliver_;
 

@@ -5,6 +5,9 @@ namespace amoeba::baselines {
 namespace {
 enum class PaType : std::uint8_t { data = 1, ack = 2 };
 constexpr std::size_t kPaHeader = 60;  // comparable wire accounting
+/// Retransmission cadence and budget of an unacknowledged broadcast.
+constexpr Duration kRetry = Duration::millis(50);
+constexpr int kRetries = 10;
 
 Buffer encode_pa(PaType type, std::uint32_t sender, std::uint32_t seq,
                  const Buffer& payload) {
@@ -97,13 +100,13 @@ void PaMember::transmit(bool first) {
                flip_.send(group_, my_addr_, std::move(pkt));
              });
   exec_.cancel_timer(out_->timer);
-  out_->timer = exec_.set_timer(cfg_.retry, [this] { on_timer(); });
+  out_->timer = exec_.set_timer(kRetry, [this] { on_timer(); });
 }
 
 void PaMember::on_timer() {
   if (!out_.has_value()) return;
   if (out_->awaiting.empty()) return;
-  if (++out_->attempts > cfg_.retries) {
+  if (++out_->attempts > kRetries) {
     auto done = std::move(out_->done);
     out_.reset();
     ++stats_.sends_failed;

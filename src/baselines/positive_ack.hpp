@@ -31,8 +31,6 @@
 namespace amoeba::baselines {
 
 struct PaConfig {
-  Duration retry = Duration::millis(50);
-  int retries = 10;
   /// 0 = ack immediately (implosion mode); otherwise each receiver delays
   /// its ack uniformly in [0, ack_spread).
   Duration ack_spread = Duration::zero();

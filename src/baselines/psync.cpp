@@ -8,6 +8,14 @@ namespace {
 enum class PsType : std::uint8_t { data = 1, nack = 2 };
 constexpr std::size_t kHeader = 60;  // comparable wire accounting
 
+/// Silence longer than this triggers a null message so peers' total order
+/// can progress. The delay of a lone sender's totally-ordered delivery is
+/// bounded below by this — measure it and see Section 2.2.
+constexpr Duration kHeartbeat = Duration::millis(5);
+constexpr Duration kNackRetry = Duration::millis(25);
+/// Own sent messages kept for per-sender retransmission.
+constexpr std::size_t kHistorySize = 256;
+
 Buffer encode_ps(PsType type, std::uint32_t sender, std::uint32_t seq,
                  std::uint64_t lamport, bool is_null, const Buffer& payload) {
   BufWriter w(kHeader + payload.size());
@@ -51,14 +59,13 @@ std::optional<PsWire> decode_ps(std::span<const std::uint8_t> bytes) {
 PsyncMember::PsyncMember(flip::FlipStack& flip, transport::Executor& exec,
                          flip::Address my_address, flip::Address group,
                          std::vector<flip::Address> ring, std::uint32_t index,
-                         PsyncConfig config, DeliverCb deliver)
+                         DeliverCb deliver)
     : flip_(flip),
       exec_(exec),
       my_addr_(my_address),
       group_(group),
       ring_(std::move(ring)),
       index_(index),
-      cfg_(config),
       deliver_(std::move(deliver)),
       peers_(ring_.size()) {
   flip_.join_group(group_, [this](flip::Address, flip::Address, BufView bytes) {
@@ -84,7 +91,7 @@ void PsyncMember::send(Buffer data) {
   const std::uint32_t seq = next_out_seq_++;
   out_history_.emplace_back(lamport, data);
   out_is_null_.push_back(false);
-  while (out_history_.size() > cfg_.history_size) {
+  while (out_history_.size() > kHistorySize) {
     out_history_.pop_front();
     out_is_null_.erase(out_is_null_.begin());
     ++out_hist_base_;
@@ -107,14 +114,14 @@ void PsyncMember::broadcast(std::uint32_t seq, std::uint64_t lamport,
 
 void PsyncMember::arm_heartbeat() {
   exec_.cancel_timer(heartbeat_timer_);
-  heartbeat_timer_ = exec_.set_timer(cfg_.heartbeat, [this] {
+  heartbeat_timer_ = exec_.set_timer(kHeartbeat, [this] {
     // Silence stalls everyone's total order: emit a null message.
     ++stats_.heartbeats;
     const std::uint64_t lamport = ++lamport_;
     const std::uint32_t seq = next_out_seq_++;
     out_history_.emplace_back(lamport, Buffer{});
     out_is_null_.push_back(true);
-    while (out_history_.size() > cfg_.history_size) {
+    while (out_history_.size() > kHistorySize) {
       out_history_.pop_front();
       out_is_null_.erase(out_is_null_.begin());
       ++out_hist_base_;
@@ -192,7 +199,7 @@ void PsyncMember::arm_nack(std::uint32_t sender) {
     });
     // Re-arm while the gap persists.
     if (!p.ooo.empty()) {
-      p.nack_timer = exec_.set_timer(cfg_.nack_retry, [this, sender] {
+      p.nack_timer = exec_.set_timer(kNackRetry, [this, sender] {
         peers_[sender].nack_timer = transport::kInvalidTimer;
         arm_nack(sender);
       });

@@ -41,15 +41,6 @@
 
 namespace amoeba::baselines {
 
-struct PsyncConfig {
-  /// Silence longer than this triggers a null message so peers' total
-  /// order can progress. The delay of a lone sender's totally-ordered
-  /// delivery is bounded below by this — measure it and see Section 2.2.
-  Duration heartbeat = Duration::millis(5);
-  Duration nack_retry = Duration::millis(25);
-  std::size_t history_size = 256;
-};
-
 struct PsyncStats {
   std::uint64_t sends{0};
   std::uint64_t delivered{0};
@@ -70,7 +61,7 @@ class PsyncMember {
   PsyncMember(flip::FlipStack& flip, transport::Executor& exec,
               flip::Address my_address, flip::Address group,
               std::vector<flip::Address> ring, std::uint32_t index,
-              PsyncConfig config, DeliverCb deliver);
+              DeliverCb deliver);
   ~PsyncMember();
   PsyncMember(const PsyncMember&) = delete;
   PsyncMember& operator=(const PsyncMember&) = delete;
@@ -103,7 +94,6 @@ class PsyncMember {
   flip::Address group_;
   std::vector<flip::Address> ring_;
   std::uint32_t index_;
-  PsyncConfig cfg_;
   PsyncStats stats_;
   DeliverCb deliver_;
 

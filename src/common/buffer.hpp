@@ -86,8 +86,10 @@ inline constexpr std::uint8_t kHeapClass = 0xFE;
 inline constexpr std::uint8_t kAdoptedClass = 0xFF;
 
 /// Allocate a mutable backing block of at least `n` bytes, preferring the
-/// calling thread's freelist pool. refs == 1 on return.
-BufBacking* acquire_backing(std::size_t n);
+/// calling thread's freelist pool. refs == 1 on return. Never null (the
+/// heap path throws), which also tells the compiler that a freshly
+/// allocated SharedBuffer's data() is a real block.
+[[gnu::returns_nonnull]] BufBacking* acquire_backing(std::size_t n);
 /// Wrap a vector's storage without copying. refs == 1 on return.
 BufBacking* adopt_backing(Buffer&& vec);
 /// Return a block to the pool or free it. Called when refs hits zero.
@@ -250,9 +252,6 @@ class BufView {
 
   std::span<const std::uint8_t> span() const noexcept {
     return {data_, size_};
-  }
-  operator std::span<const std::uint8_t>() const noexcept {  // NOLINT
-    return span();
   }
 
   /// Slice sharing the same backing (+1 ref). Out-of-range clamps to empty.

@@ -1,6 +1,6 @@
 // FLIP packet header encode/decode.
 //
-// One FLIP *message* (up to Config::max_message bytes) is carried in one or
+// One FLIP *message* (up to kMaxMessage bytes) is carried in one or
 // more *packets*, each fitting a link frame. The header carries enough to
 // route (dst/src addresses), reassemble (msg_id / total_len / frag_offset),
 // and detect garble (CRC over header + fragment payload — the model's

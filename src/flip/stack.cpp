@@ -7,9 +7,18 @@
 
 namespace amoeba::flip {
 
-FlipStack::FlipStack(transport::Executor& exec, transport::Device& dev,
-                     Config config)
-    : exec_(exec), config_(config) {
+namespace {
+/// Locate broadcasts per address before queued traffic is dropped, and
+/// their spacing.
+constexpr int kLocateRetries = 5;
+constexpr Duration kLocateInterval = Duration::millis(20);
+/// A partially reassembled message is dropped this long after its first
+/// fragment arrived (the group layer's NACKs recover the message itself).
+constexpr Duration kReassemblyTimeout = Duration::millis(500);
+}  // namespace
+
+FlipStack::FlipStack(transport::Executor& exec, transport::Device& dev)
+    : exec_(exec) {
   add_device(dev);
 }
 
@@ -49,7 +58,7 @@ void FlipStack::leave_group(Address group) {
 
 Status FlipStack::send(Address dst, Address src, BufView msg) {
   if (dst.is_null()) return Status::invalid_argument;
-  if (msg.size() > config_.max_message) return Status::overflow;
+  if (msg.size() > kMaxMessage) return Status::overflow;
   ++stats_.messages_sent;
 
   if (is_group_address(dst)) {
@@ -151,7 +160,7 @@ void FlipStack::fire_locate(Address dst) {
   auto it = locating_.find(dst);
   if (it == locating_.end()) return;
   PendingLocate& pending = it->second;
-  if (pending.attempts >= config_.locate_retries) {
+  if (pending.attempts >= kLocateRetries) {
     // Give up: drop queued traffic; the caller's own timeout machinery
     // (RPC retransmit, group NACK) owns recovery.
     ++stats_.locate_failures;
@@ -180,7 +189,7 @@ void FlipStack::fire_locate(Address dst) {
                }
              });
   pending.timer =
-      exec_.set_timer(config_.locate_interval, [this, dst] { fire_locate(dst); });
+      exec_.set_timer(kLocateInterval, [this, dst] { fire_locate(dst); });
 }
 
 void FlipStack::invalidate_route(Address addr) { routes_.erase(addr); }
@@ -373,9 +382,9 @@ void FlipStack::handle_data(std::size_t dev, DecodedPacket pkt) {
   if (inserted) {
     p.data.resize(h.total_len);
     p.dst = h.dst;
-    p.deadline = exec_.now() + config_.reassembly_timeout;
+    p.deadline = exec_.now() + kReassemblyTimeout;
     if (gc_timer_ == transport::kInvalidTimer) {
-      gc_timer_ = exec_.set_timer(config_.reassembly_timeout,
+      gc_timer_ = exec_.set_timer(kReassemblyTimeout,
                                   [this] { gc_reassembly(); });
     }
   }
@@ -409,7 +418,7 @@ void FlipStack::gc_reassembly() {
     }
   }
   if (!partials_.empty()) {
-    gc_timer_ = exec_.set_timer(config_.reassembly_timeout,
+    gc_timer_ = exec_.set_timer(kReassemblyTimeout,
                                 [this] { gc_reassembly(); });
   }
 }

@@ -41,15 +41,12 @@
 
 namespace amoeba::flip {
 
-struct Config {
-  /// Largest message accepted by send(). The paper's experiments stop at
-  /// 8000 bytes because of kernel buffer limits; the protocol itself
-  /// handles larger messages, so we default higher.
-  std::size_t max_message = 64 * 1024;
-  int locate_retries = 5;
-  Duration locate_interval = Duration::millis(20);
-  Duration reassembly_timeout = Duration::millis(500);
-};
+/// Largest message send() accepts, upper-layer headers included: the one
+/// message-size limit of the stack. The group and RPC layers accept this
+/// minus their own header. The paper's experiments stop at 8000 bytes
+/// because of kernel buffer limits; the protocol itself handles larger
+/// messages, so the limit is higher.
+inline constexpr std::size_t kMaxMessage = 64 * 1024;
 
 struct Stats {
   std::uint64_t messages_sent{0};
@@ -71,8 +68,7 @@ class FlipStack {
   /// arrive as zero-copy views into the received frame.
   using Handler = std::function<void(Address src, Address dst, BufView msg)>;
 
-  FlipStack(transport::Executor& exec, transport::Device& dev,
-            Config config = {});
+  FlipStack(transport::Executor& exec, transport::Device& dev);
   FlipStack(const FlipStack&) = delete;
   FlipStack& operator=(const FlipStack&) = delete;
 
@@ -153,7 +149,6 @@ class FlipStack {
 
   transport::Executor& exec_;
   std::vector<transport::Device*> devices_;
-  Config config_;
   Stats stats_;
   bool forwarding_{false};
 

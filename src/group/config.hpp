@@ -1,4 +1,14 @@
 // Tunables of the group protocol.
+//
+// Only settings some caller varies are fields here. Values nothing varies
+// are named constants beside the code that reads them: the PB/BB switch
+// point, the flow-control threshold and the retry backoff shape in
+// member.cpp, the NACK batch and the cross-shard retry cadence in
+// member.hpp, the packed-frame byte budget in sequencer.cpp, and the
+// ResetGroup retry counts and timeouts in recovery.cpp. The largest
+// message is FLIP's limit minus the group header (GroupMember::
+// kMaxMessage). Which shard a member serves is not a setting either: only
+// Node::add_shard decides it.
 #pragma once
 
 #include <cstddef>
@@ -42,17 +52,12 @@ struct GroupConfig {
   std::uint32_t resilience = 0;
 
   Method method = Method::dynamic;
-  /// dynamic: messages strictly larger than this use BB. Default: what
-  /// still fits one Ethernet fragment's user payload.
-  std::size_t bb_threshold = 1398;
 
   /// History buffer length in messages (the paper's setup used 128).
   std::size_t history_size = 128;
   /// First sequence number assigned by a fresh group. Default 0; tests
   /// set values near 2^32 to exercise serial-number wraparound.
   SeqNum first_seq = 0;
-  /// Largest application message.
-  std::size_t max_message = 64 * 1024;
 
   // --- Sender retransmission ---------------------------------------------
   /// Base delay before the first retransmission; subsequent retries back
@@ -76,36 +81,21 @@ struct GroupConfig {
   /// and reproduces the paper's one-multicast-per-message wire behaviour
   /// exactly (the ablation mode the benches compare against).
   std::size_t batch_count = 16;
-  /// Byte budget for one packed frame's payload. The default keeps a
-  /// packed frame within a single Ethernet fragment (1398 bytes of FLIP
-  /// payload minus the 60-byte group header), so packing never induces
-  /// fragmentation. A message larger than the budget still travels — it
-  /// simply gets a frame of its own, exactly as without batching.
-  std::size_t batch_bytes = 1338;
 
   // --- Negative acknowledgements ------------------------------------------
   /// Retry cadence while a gap persists.
   Duration nack_retry = Duration::millis(25);
-  /// How many missing messages one NACK may ask for.
-  std::uint32_t nack_batch = 16;
 
   // --- Join -----------------------------------------------------------------
   Duration join_retry = Duration::millis(100);
   int join_retries = 10;
 
   // --- Retry backoff (EXTENSION: live-path hardening) ----------------------
-  // The send/NACK/join/leave retry timers grow `base * factor^(attempt-1)`
-  // up to the per-timer cap, with a deterministic ±`backoff_jitter`
-  // multiplicative spread (hash of member id and attempt — replayable in
-  // the simulator, desynchronized on real sockets). factor = 1 restores
-  // the paper's fixed cadence.
-  double backoff_factor = 2.0;
-  double backoff_jitter = 0.25;
+  // The send/NACK/join/leave retry timers double per attempt up to a cap,
+  // with a deterministic ±25% multiplicative spread (hash of member id and
+  // attempt — replayable in the simulator, desynchronized on real sockets);
+  // see member.cpp. The send and leave timers cap here.
   Duration send_backoff_cap = Duration::seconds(1);
-  /// NACKs cap lower: a receiver with a gap must keep asking briskly or
-  /// delivery latency for everything behind the gap balloons.
-  Duration nack_backoff_cap = Duration::millis(200);
-  Duration join_backoff_cap = Duration::seconds(1);
   /// Total wall/virtual-time budget for one SendToGroup. When the group is
   /// making progress but OUR message keeps losing (congestion, unlucky
   /// loss), the send completes with Status::retry_exhausted once the
@@ -125,14 +115,9 @@ struct GroupConfig {
   /// respond, the process is declared dead", Section 2.1).
   Duration status_poll = Duration::millis(100);
   int status_retries = 4;
-  /// Expel unresponsive members automatically (sequencer-side detector).
-  bool auto_expel = true;
 
   // --- Recovery (ResetGroup) -------------------------------------------------
   Duration invite_interval = Duration::millis(100);
-  int invite_retries = 4;
-  Duration retrieve_timeout = Duration::millis(200);
-  int result_rebroadcasts = 3;
 
   // --- Multicast flow control (EXTENSION) -----------------------------------
   // The paper leaves multi-packet flow control open ("it is not
@@ -140,37 +125,20 @@ struct GroupConfig {
   // communication", Section 4) and shows the consequence: Figure 4's
   // throughput collapse when concurrent multi-fragment messages overflow
   // the sequencer's 32-frame Lance ring. This scheme closes the gap: a
-  // sender whose message exceeds `fc_threshold` bytes first requests a
-  // transmission slot (RTS); the sequencer grants at most `fc_slots`
-  // concurrently (CTS), releasing each slot when the message is
+  // sender whose message spans more than two Ethernet fragments first
+  // requests a transmission slot (RTS); the sequencer grants at most
+  // `fc_slots` concurrently (CTS), releasing each slot when the message is
   // sequenced. Small messages are unaffected.
   bool flow_control = false;
-  /// Messages strictly larger than this need a grant (default: two
-  /// Ethernet fragments' worth of user payload).
-  std::size_t fc_threshold = 2 * 1398;
   /// Concurrent large transfers the sequencer admits.
   int fc_slots = 2;
 
   // --- Sharding / cross-shard multicast (EXTENSION: ROADMAP item 1) ---------
-  /// Which shard this member belongs to when hosted by a multi-group Node.
-  /// Stamped into every TraceEvent this member emits so one collector can
-  /// attribute events to shards; 0 (the default) keeps the classic
-  /// single-group behaviour and trace shape.
-  std::uint32_t group_tag = 0;
-  /// Accept cross-shard coordination traffic (xshard_send / xshard_commit)
-  /// at this shard's sequencer. Off by default: the paper protocol rejects
-  /// the new wire types. A group::Node turns it on for every member it
-  /// hosts, and every SimProcess hosts its members through a Node, so all
-  /// simulated members run with it on. With no cross-shard sender it only
-  /// arms the sequencer's quarantine timer after a ResetGroup or hand-off;
-  /// traces and the Fig 1-8 output are those of bare members.
-  bool cross_shard = false;
-  /// Retry cadence and budget for each phase of the Node's xshard_send /
-  /// xshard_commit exchanges (each is one unicast + one reply). The
-  /// sequencer derives its quarantine (4 x retry) and proposal expiry
-  /// (2 x retry x retries) from the same pair, so every shard a Node hosts
-  /// carries the same values.
-  Duration xshard_retry = Duration::millis(100);
+  /// Retry budget for each phase of the Node's xshard_send / xshard_commit
+  /// exchanges (each is one unicast + one reply, retried every
+  /// kXShardRetry). The sequencer derives its proposal expiry
+  /// (2 x kXShardRetry x retries) from it, so every shard a Node hosts
+  /// carries the same value. Read only by Node-hosted members.
   int xshard_retries = 10;
 
   // --- Durable log (EXTENSION: ROADMAP item 4) ------------------------------
@@ -185,29 +153,15 @@ struct GroupConfig {
 
   /// Validate and clamp the tunables. Called once by CreateGroup/JoinGroup
   /// so a nonsensical configuration surfaces as a typed Status::bad_config
-  /// instead of silent misbehaviour (a zero-capacity history, a NACK batch
-  /// larger than anything the history can serve, ...). Over-large derived
-  /// knobs are clamped to their anchors rather than rejected.
+  /// instead of silent misbehaviour (a zero-capacity history, ...).
+  /// Over-large derived knobs are clamped to their anchors rather than
+  /// rejected.
   Status normalize() {
-    if (history_size == 0 || max_message == 0 || nack_batch == 0 ||
-        batch_count == 0 || batch_bytes == 0) {
-      return Status::bad_config;
-    }
+    if (history_size == 0 || batch_count == 0) return Status::bad_config;
     if (max_outstanding < 1) max_outstanding = 1;
-    if (cross_shard) {
-      if (xshard_retries < 1 || xshard_retry.ns <= 0) {
-        return Status::bad_config;
-      }
-      // Shard tags travel as bits of a 32-bit destination mask.
-      if (group_tag >= 32) return Status::bad_config;
-    }
-    // A NACK (or a packed frame) can never usefully cover more messages
-    // than the history retains, nor more bytes than one message may hold.
-    if (nack_batch > history_size) {
-      nack_batch = static_cast<std::uint32_t>(history_size);
-    }
+    // A packed frame can never usefully cover more messages than the
+    // history retains.
     if (batch_count > history_size) batch_count = history_size;
-    if (batch_bytes > max_message) batch_bytes = max_message;
     if (durability != Durability::off) {
       if (log_segment_bytes == 0) return Status::bad_config;
       if (durability == Durability::async && fsync_interval.ns <= 0) {

@@ -27,15 +27,35 @@ namespace {
   }
   return h;
 }
+
+/// Method::dynamic sends messages strictly larger than this with BB: what
+/// still fits one Ethernet fragment's user payload.
+constexpr std::size_t kBbThreshold = 1398;
+/// With flow control on, messages strictly larger than this need a grant:
+/// two Ethernet fragments' worth of user payload.
+constexpr std::size_t kFcThreshold = 2 * kBbThreshold;
+
+// Retry backoff: the send/NACK/join/leave timers grow base * 2^(attempt-1)
+// up to a per-timer cap, with a deterministic ±25% multiplicative spread
+// (backoff.hpp). The send and leave timers cap at
+// GroupConfig::send_backoff_cap.
+constexpr double kBackoffFactor = 2.0;
+constexpr double kBackoffJitter = 0.25;
+/// NACKs cap lower: a receiver with a gap must keep asking briskly or
+/// delivery latency for everything behind the gap balloons.
+constexpr Duration kNackBackoffCap = Duration::millis(200);
+constexpr Duration kJoinBackoffCap = Duration::seconds(1);
 }  // namespace
 
 GroupMember::GroupMember(flip::FlipStack& flip, transport::Executor& exec,
                          flip::Address my_address, GroupConfig config,
-                         Callbacks cbs)
+                         Callbacks cbs, std::optional<std::uint32_t> node_shard)
     : flip_(flip),
       exec_(exec),
       my_addr_(my_address),
       cfg_(config),
+      group_tag_(node_shard.value_or(0)),
+      cross_shard_(node_shard.has_value()),
       cbs_(std::move(cbs)),
       // Slack over the admission limit: system messages (join/leave/expel)
       // may push the history past cfg.history_size before trimming.
@@ -56,7 +76,7 @@ GroupMember::GroupMember(flip::FlipStack& flip, transport::Executor& exec,
                         },
                     .declare_dead =
                         [this](MemberId suspect) {
-                          if (!i_am_sequencer() || !cfg_.auto_expel) return;
+                          if (!i_am_sequencer()) return;
                           const MemberInfo* info = find_member(suspect);
                           if (info == nullptr) return;
                           // Its expulsion is already in the stream.
@@ -99,7 +119,7 @@ void GroupMember::create_group(flip::Address group, StatusCb done) {
     done(Status::invalid_argument);
     return;
   }
-  if (const Status s = cfg_.normalize(); s != Status::ok) {
+  if (const Status s = check_config(); s != Status::ok) {
     done(s);
     return;
   }
@@ -129,7 +149,7 @@ void GroupMember::join_group(flip::Address group, StatusCb done) {
     done(Status::invalid_argument);
     return;
   }
-  if (const Status s = cfg_.normalize(); s != Status::ok) {
+  if (const Status s = check_config(); s != Status::ok) {
     done(s);
     return;
   }
@@ -157,8 +177,8 @@ void GroupMember::on_join_timer() {
   // member yet, so we cannot unicast (we know nobody).
   flip_.send(gaddr_, my_addr_, encode_wire(m));
   join_timer_ = exec_.set_timer(
-      backoff_delay(cfg_.join_retry, join_attempts_, cfg_.backoff_factor,
-                    cfg_.join_backoff_cap, cfg_.backoff_jitter,
+      backoff_delay(cfg_.join_retry, join_attempts_, kBackoffFactor,
+                    kJoinBackoffCap, kBackoffJitter,
                     my_addr_.id ^ 0x6A6F696EULL),
       [this] { on_join_timer(); });
 }
@@ -221,8 +241,8 @@ void GroupMember::send_leave_req() {
   send_to_sequencer(std::move(m));
   // Re-request with send-retry backoff until our leave is ordered.
   join_timer_ = exec_.set_timer(
-      backoff_delay(cfg_.send_retry, leave_attempts_, cfg_.backoff_factor,
-                    cfg_.send_backoff_cap, cfg_.backoff_jitter,
+      backoff_delay(cfg_.send_retry, leave_attempts_, kBackoffFactor,
+                    cfg_.send_backoff_cap, kBackoffJitter,
                     (static_cast<std::uint64_t>(my_id_) << 8) ^ 0x6C656176ULL),
       [this] { on_leave_timer(); });
 }
@@ -231,6 +251,15 @@ void GroupMember::on_leave_timer() {
   if (!leaving_ || state_ != State::running || i_am_sequencer()) return;
   ++leave_attempts_;
   send_leave_req();
+}
+
+Status GroupMember::check_config() {
+  if (const Status s = cfg_.normalize(); s != Status::ok) return s;
+  if (cross_shard_) {
+    // Shard tags travel as bits of a 32-bit destination mask.
+    if (cfg_.xshard_retries < 1 || group_tag_ >= 32) return Status::bad_config;
+  }
+  return Status::ok;
 }
 
 GroupInfo GroupMember::info() const {
@@ -277,7 +306,7 @@ void GroupMember::install_view(bool from_recovery) {
          .peer = seq_id_, .seq = next_deliver_,
          .msg_id = static_cast<std::uint32_t>(members_.size()),
          .a = view_hash(members_));
-  if (cfg_.cross_shard) {
+  if (cross_shard_) {
     xshard_note_role(state_ == State::running && my_id_ == seq_id_);
   }
   if (cbs_.on_view) {
@@ -371,12 +400,12 @@ Duration GroupMember::dispatch_cost(const WireMsg& m) const {
       // time, which is what lets packed frames amortize it.
       return c.group_order +
              c.group_per_member * static_cast<std::int64_t>(members_.size()) +
-             c.copy_time(m.payload.size(), c.seq_rx_copies);
+             c.copy_time(m.payload.size());
     case WireType::seq_data:
     case WireType::retransmit:
       // Receiver-side group work: copy from the Lance into the history
       // buffer plus protocol processing.
-      return c.group_deliver + c.copy_time(m.payload.size(), c.recv_copies);
+      return c.group_deliver + c.copy_time(m.payload.size());
     case WireType::seq_accept:
       return c.group_deliver;
     case WireType::seq_packed:
@@ -387,7 +416,7 @@ Duration GroupMember::dispatch_cost(const WireMsg& m) const {
              c.group_unpack *
                  static_cast<std::int64_t>(
                      m.range_count > 0 ? m.range_count - 1 : 0) +
-             c.copy_time(m.payload.size(), c.recv_copies);
+             c.copy_time(m.payload.size());
     case WireType::seq_accept_range:
       return c.group_deliver +
              c.group_unpack *
@@ -582,10 +611,10 @@ void GroupMember::dispatch(const flip::Address& src, WireMsg m) {
       if (i_am_sequencer()) seq_on_rts(m);
       break;
     case WireType::xshard_send:
-      if (i_am_sequencer() && cfg_.cross_shard) seq_on_xshard_send(m);
+      if (i_am_sequencer() && cross_shard_) seq_on_xshard_send(m);
       break;
     case WireType::xshard_commit:
-      if (i_am_sequencer() && cfg_.cross_shard) seq_on_xshard_commit(m);
+      if (i_am_sequencer() && cross_shard_) seq_on_xshard_commit(m);
       break;
     case WireType::fc_cts:
       if (Outgoing* o = find_outgoing(m.msg_id);
@@ -607,7 +636,7 @@ bool GroupMember::use_bb(std::size_t size) const {
   switch (cfg_.method) {
     case Method::pb: return false;
     case Method::bb: return true;
-    case Method::dynamic: return size > cfg_.bb_threshold;
+    case Method::dynamic: return size > kBbThreshold;
   }
   return false;
 }
@@ -621,7 +650,7 @@ void GroupMember::send_to_group(Buffer data, StatusCb done) {
     done(Status::not_member);
     return;
   }
-  if (data.size() > cfg_.max_message) {
+  if (data.size() > kMaxMessage) {
     done(Status::overflow);
     return;
   }
@@ -645,8 +674,7 @@ void GroupMember::fill_pipeline() {
     o.deadline = cfg_.send_budget.ns > 0 ? exec_.now() + cfg_.send_budget
                                          : Time::infinity();
     // Sender-side copy: user buffer into the kernel.
-    const auto& costs = exec_.costs();
-    exec_.charge(costs.copy_time(o.data.size(), costs.sender_copies));
+    exec_.charge(exec_.costs().copy_time(o.data.size()));
     GTRACE(send, .flags = o.via_bb ? std::uint8_t{1} : std::uint8_t{0},
            .msg_id = o.msg_id, .a = o.data.size());
     outs_.push_back(std::move(o));
@@ -664,7 +692,7 @@ GroupMember::Outgoing* GroupMember::find_outgoing(std::uint32_t msg_id) {
 }
 
 void GroupMember::transmit_entry(Outgoing& o) {
-  o.needs_grant = cfg_.flow_control && o.data.size() > cfg_.fc_threshold;
+  o.needs_grant = cfg_.flow_control && o.data.size() > kFcThreshold;
   if (o.needs_grant && !o.granted) {
     // Flow control: ask for a transmission slot first. The regular send
     // timer re-issues the RTS if the CTS is lost.
@@ -702,8 +730,8 @@ void GroupMember::transmit_entry(Outgoing& o) {
   const std::uint64_t salt =
       (static_cast<std::uint64_t>(my_id_) << 32) ^ o.msg_id;
   const Duration retry =
-      backoff_delay(cfg_.send_retry, o.attempts + 1, cfg_.backoff_factor,
-                    cfg_.send_backoff_cap, cfg_.backoff_jitter, salt);
+      backoff_delay(cfg_.send_retry, o.attempts + 1, kBackoffFactor,
+                    cfg_.send_backoff_cap, kBackoffJitter, salt);
   exec_.cancel_timer(o.timer);
   o.timer = exec_.set_timer(
       retry, [this, msg_id = o.msg_id] { on_send_timer(msg_id); });
@@ -1001,7 +1029,7 @@ void GroupMember::deliver(SeqNum seq, PendingMsg msg) {
   // hand-off must propose above everything already released into the
   // history it has seen, or a post-crash round could order below an
   // already-delivered message and invert the cross-shard order.
-  if (gm.kind == MessageKind::xshard && cfg_.cross_shard) {
+  if (gm.kind == MessageKind::xshard && cross_shard_) {
     XShardCommit xc;
     if (decode_xshard_commit_payload(gm.data, xc) && xc.final_ts > xclock_) {
       xclock_ = xc.final_ts;
@@ -1091,7 +1119,7 @@ void GroupMember::fire_nack() {
     ++from;
   }
   std::uint32_t count = 0;
-  for (SeqNum s = from; seq_le(s, last) && count < cfg_.nack_batch; ++s) {
+  for (SeqNum s = from; seq_le(s, last) && count < nack_limit(); ++s) {
     const auto it = ooo_.find(s);
     if (it == ooo_.end() || entry_missing(it->second, nnow)) {
       count = (s - from) + 1;
@@ -1110,8 +1138,8 @@ void GroupMember::fire_nack() {
   // Back off while the gap persists (capped low: everything behind the gap
   // waits on this timer), desynchronized across members by id.
   const Duration retry = backoff_delay(
-      cfg_.nack_retry, nack_attempts_, cfg_.backoff_factor,
-      cfg_.nack_backoff_cap, cfg_.backoff_jitter,
+      cfg_.nack_retry, nack_attempts_, kBackoffFactor, kNackBackoffCap,
+      kBackoffJitter,
       (static_cast<std::uint64_t>(my_id_) << 8) ^ 0x6E61636BULL);
   nack_timer_ = exec_.set_timer(retry, [this] { fire_nack(); });
 }
@@ -1436,7 +1464,7 @@ Status GroupMember::recover_from_log(DurableLog* log) {
   }
   const auto& view = log->recovered_view();
   if (!view.has_value()) return Status::no_such_group;
-  if (const Status s = cfg_.normalize(); s != Status::ok) return s;
+  if (const Status s = check_config(); s != Status::ok) return s;
   log_ = log;
   gaddr_ = view->group;
   inc_ = view->inc;

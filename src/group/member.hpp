@@ -18,6 +18,7 @@
 // for application threads live in group/blocking.hpp.
 #pragma once
 
+#include <algorithm>
 #include <deque>
 #include <functional>
 #include <string>
@@ -38,6 +39,12 @@
 #include "transport/runtime.hpp"
 
 namespace amoeba::group {
+
+/// Retry cadence of each phase of a Node's cross-shard round (xshard_send /
+/// xshard_commit, one unicast + one reply each). A shard sequencer derives
+/// its quarantine after a role change (4 x) and, with
+/// GroupConfig::xshard_retries, its proposal expiry from the same value.
+inline constexpr Duration kXShardRetry = Duration::millis(100);
 
 /// Counters exposed for tests, benches, and GetInfoGroup diagnostics.
 /// RelaxedCounter so monitors and tests may read them live while the
@@ -116,11 +123,22 @@ class GroupMember {
     left,        // left voluntarily
   };
 
+  /// Largest application message: FLIP's limit minus the group header.
+  static constexpr std::size_t kMaxMessage =
+      flip::kMaxMessage - kWireHeaderBytes;
+
   /// Lifetime: completion and delivery callbacks run on the member's own
   /// call stack — never destroy the GroupMember from inside one (defer
   /// destruction to a fresh executor event instead).
+  ///
+  /// `node_shard` is passed only by Node::add_shard: the tag of the shard
+  /// this member serves. A hosted member stamps the tag into every
+  /// TraceEvent it emits and its sequencer serves cross-shard traffic
+  /// (xshard_send / xshard_commit). A bare member (no tag) keeps the
+  /// classic single-group trace shape and ignores the xshard wire types.
   GroupMember(flip::FlipStack& flip, transport::Executor& exec,
-              flip::Address my_address, GroupConfig config, Callbacks cbs);
+              flip::Address my_address, GroupConfig config, Callbacks cbs,
+              std::optional<std::uint32_t> node_shard = std::nullopt);
   ~GroupMember();
   GroupMember(const GroupMember&) = delete;
   GroupMember& operator=(const GroupMember&) = delete;
@@ -135,7 +153,8 @@ class GroupMember {
   /// SendToGroup: reliable, totally-ordered broadcast. Completion fires
   /// when the message is accepted (r = 0) or r-stable (r > 0). Sends are
   /// queued FIFO; each member has one message outstanding at a time,
-  /// matching the blocking primitive.
+  /// matching the blocking primitive. A message over kMaxMessage fails at
+  /// once with Status::overflow.
   void send_to_group(Buffer data, StatusCb done);
   /// ResetGroup: rebuild after a processor failure. Fails with
   /// quorum_unreachable when fewer than `min_size` members respond.
@@ -243,6 +262,13 @@ class GroupMember {
     if (!p.have_data) return true;
     return p.tentative && (now - p.arrived) > cfg_.nack_retry;
   }
+  /// How many missing messages one NACK, or one catch-up push from the
+  /// sequencer, covers: kNackBatch, but never more than the history
+  /// retains.
+  static constexpr std::size_t kNackBatch = 16;
+  std::size_t nack_limit() const {
+    return std::min(kNackBatch, cfg_.history_size);
+  }
   void on_seq_data(const WireMsg& m);
   void on_seq_accept(const WireMsg& m);
   /// Unpack a batched frame into the per-message events the unbatched
@@ -329,6 +355,8 @@ class GroupMember {
   void xshard_clear();
 
   // --- Membership / views -------------------------------------------------------
+  /// cfg_.normalize() plus the checks a Node-hosted member adds.
+  Status check_config();
   const MemberInfo* find_member(MemberId id) const;
   const MemberInfo* find_member_by_addr(const flip::Address& a) const;
   void install_view(bool from_recovery);
@@ -359,6 +387,10 @@ class GroupMember {
   transport::Executor& exec_;
   flip::Address my_addr_;
   GroupConfig cfg_;
+  /// Node wiring (constructor's `node_shard`): the shard tag, and whether
+  /// a Node hosts this member at all.
+  std::uint32_t group_tag_;
+  bool cross_shard_;
   Callbacks cbs_;
   GroupStats stats_;
   TraceFn trace_;

@@ -231,7 +231,6 @@ bool decode_accept_range_payload(const WireMsg& m,
 namespace {
 constexpr std::size_t kXSendHeadBytes = 16;
 constexpr std::size_t kXProposeBytes = 20;
-constexpr std::size_t kXCommitHeadBytes = 24;
 }  // namespace
 
 BufView encode_xshard_send_wire(const WireMsg& header, const XShardSend& x) {
@@ -286,7 +285,7 @@ bool decode_xshard_propose_payload(const BufView& payload, XShardPropose& out) {
 
 BufView encode_xshard_commit_wire(const WireMsg& header, const XShardCommit& x) {
   assert(header.type == WireType::xshard_commit);
-  const std::size_t payload = kXCommitHeadBytes + x.data.size();
+  const std::size_t payload = kXShardCommitHeadBytes + x.data.size();
   SharedBuffer buf = SharedBuffer::allocate(kHeaderBytes + payload);
   std::uint8_t* p = buf.data();
   write_header(p, header, payload);
@@ -296,21 +295,21 @@ BufView encode_xshard_commit_wire(const WireMsg& header, const XShardCommit& x) 
   store_le32(p + 12, x.origin);
   store_le64(p + 16, x.final_ts);
   if (!x.data.empty()) {
-    std::memcpy(p + kXCommitHeadBytes, x.data.data(), x.data.size());
+    std::memcpy(p + kXShardCommitHeadBytes, x.data.data(), x.data.size());
   }
   return buf;
 }
 
 bool decode_xshard_commit_payload(const BufView& payload, XShardCommit& out) {
-  if (payload.size() < kXCommitHeadBytes) return false;
+  if (payload.size() < kXShardCommitHeadBytes) return false;
   const std::uint8_t* p = payload.data();
   out.xid = load_le64(p);
   out.mask = load_le32(p + 8);
   out.origin = load_le32(p + 12);
   out.final_ts = load_le64(p + 16);
   if (out.mask == 0) return false;
-  out.data =
-      payload.subview(kXCommitHeadBytes, payload.size() - kXCommitHeadBytes);
+  out.data = payload.subview(kXShardCommitHeadBytes,
+                             payload.size() - kXShardCommitHeadBytes);
   return true;
 }
 

@@ -195,6 +195,9 @@ struct XShardCommit {
   std::uint64_t final_ts{0};
   BufView data;
 };
+/// Encoded XShardCommit ahead of its user bytes (xid, mask, origin,
+/// final_ts): the envelope a cross-shard payload adds to a group message.
+inline constexpr std::size_t kXShardCommitHeadBytes = 24;
 
 /// Encode full wire frames in one allocation (header + payload; user bytes
 /// copied exactly once). `header.type` must match.

@@ -10,8 +10,8 @@
 //                   completes when our local member in every addressed
 //                   shard delivers the injected entry.
 //
-// Both phases retry on a fixed cadence (the hosted shards'
-// GroupConfig::xshard_retry) with a bounded budget (xshard_retries); each
+// Both phases retry on a fixed cadence (kXShardRetry) with a bounded budget
+// (the hosted shards' GroupConfig::xshard_retries); each
 // retransmission refreshes the target sequencer address and incarnation
 // from the local member, so rounds survive sequencer hand-offs and
 // ResetGroup recoveries that happen mid-flight. Every message is
@@ -50,12 +50,8 @@ Node::~Node() {
 GroupMember& Node::add_shard(std::uint32_t tag, flip::Address member_addr,
                              GroupConfig cfg, GroupMember::Callbacks cbs) {
   assert(tag < 32 && shards_.count(tag) == 0);
-  assert(shards_.empty() || (cfg.xshard_retry == xshard_retry_ &&
-                             cfg.xshard_retries == xshard_retries_));
-  xshard_retry_ = cfg.xshard_retry;
+  assert(shards_.empty() || cfg.xshard_retries == xshard_retries_);
   xshard_retries_ = cfg.xshard_retries;
-  cfg.group_tag = tag;
-  cfg.cross_shard = true;
   auto [it, inserted] = shards_.try_emplace(tag);
   Shard& sh = it->second;
   sh.tag = tag;
@@ -66,8 +62,8 @@ GroupMember& Node::add_shard(std::uint32_t tag, flip::Address member_addr,
   };
   wrapped.on_view = sh.user_cbs.on_view;
   wrapped.on_fault = sh.user_cbs.on_fault;
-  sh.member = std::make_unique<GroupMember>(flip_, exec_, member_addr,
-                                            std::move(cfg), std::move(wrapped));
+  sh.member = std::make_unique<GroupMember>(
+      flip_, exec_, member_addr, std::move(cfg), std::move(wrapped), tag);
   return *sh.member;
 }
 
@@ -119,6 +115,10 @@ void Node::send_multi(std::uint32_t mask, Buffer data, StatusCb done) {
                   std::move(data), std::move(done));
     return;
   }
+  if (data.size() > kMaxMessage) {
+    if (done) done(Status::overflow);
+    return;
+  }
   const std::uint64_t xid =
       (static_cast<std::uint64_t>(node_id_) << 32) | next_xid_++;
   ++stats_.xsends;
@@ -136,8 +136,7 @@ void Node::send_multi(std::uint32_t mask, Buffer data, StatusCb done) {
   r.data = std::move(data);
   r.done = std::move(done);
   xmit_round(r);
-  r.timer = exec_.set_timer(xshard_retry_,
-                            [this, xid] { round_timer(xid); });
+  r.timer = exec_.set_timer(kXShardRetry, [this, xid] { round_timer(xid); });
 }
 
 bool Node::shard_target(std::uint32_t tag, flip::Address& out_addr,
@@ -203,8 +202,7 @@ void Node::round_timer(std::uint64_t xid) {
   }
   ++stats_.xretries;
   xmit_round(r);
-  r.timer = exec_.set_timer(xshard_retry_,
-                            [this, xid] { round_timer(xid); });
+  r.timer = exec_.set_timer(kXShardRetry, [this, xid] { round_timer(xid); });
 }
 
 void Node::on_node_packet(flip::Address, BufView bytes) {

@@ -65,15 +65,20 @@ class Node {
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
+  /// Largest send_multi payload: the group limit minus the cross-shard
+  /// envelope the commit adds.
+  static constexpr std::size_t kMaxMessage =
+      GroupMember::kMaxMessage - kXShardCommitHeadBytes;
+
   /// Host a member of shard `tag` (0..31) listening on its own unicast
-  /// endpoint `member_addr`. `cfg.group_tag` / `cfg.cross_shard` are set by
-  /// the Node; the given callbacks see view/fault events (and non-xshard
-  /// messages), while all deliveries also flow through the Node's
-  /// DeliverFn. The origin side of every cross-shard round retries on
-  /// `cfg.xshard_retry` / `cfg.xshard_retries`, the same values each
-  /// sequencer's quarantine and proposal expiry derive from, so every
-  /// hosted shard must carry the same pair. Returns the member (owned by
-  /// the Node) for create/join/leave calls.
+  /// endpoint `member_addr`. The member learns its tag from the Node and
+  /// serves cross-shard traffic; the given callbacks see view/fault events
+  /// (and non-xshard messages), while all deliveries also flow through the
+  /// Node's DeliverFn. The origin side of every cross-shard round retries
+  /// every kXShardRetry up to `cfg.xshard_retries` times, the budget each
+  /// sequencer's proposal expiry derives from, so every hosted shard must
+  /// carry the same value. Returns the member (owned by the Node) for
+  /// create/join/leave calls.
   GroupMember& add_shard(std::uint32_t tag, flip::Address member_addr,
                          GroupConfig cfg, GroupMember::Callbacks cbs = {});
   GroupMember* shard(std::uint32_t tag);
@@ -96,7 +101,8 @@ class Node {
   /// tag i; all must be hosted here and running). Completes ok once the
   /// message is delivered by this Node's member in every addressed shard;
   /// delivery order is globally consistent across shards. A single-bit
-  /// mask degrades to send_to_shard.
+  /// mask degrades to send_to_shard. With two or more shards addressed, a
+  /// payload over kMaxMessage fails at once with Status::overflow.
   void send_multi(std::uint32_t mask, Buffer data, StatusCb done);
 
   const NodeStats& stats() const { return stats_; }
@@ -149,8 +155,7 @@ class Node {
   transport::Executor& exec_;
   flip::Address addr_;
   std::uint32_t node_id_;
-  Duration xshard_retry_{};  // from the hosted shards' GroupConfig
-  int xshard_retries_{0};
+  int xshard_retries_{0};  // from the hosted shards' GroupConfig
   DeliverFn deliver_;
   check::TraceRing* trace_ring_{nullptr};
   NodeStats stats_;

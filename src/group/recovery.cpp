@@ -7,7 +7,7 @@
 //
 //   1. multicasts invitations and collects votes (a vote describes what
 //      the member has delivered and still buffers);
-//   2. declares non-responders dead after `invite_retries` rounds — the
+//   2. declares non-responders dead after kInviteRetries rounds — the
 //      unreliable failure detector the paper describes, which may declare
 //      a live-but-slow member dead;
 //   3. fixes the rebuilt stream: everything any survivor delivered, plus
@@ -36,6 +36,14 @@
 namespace amoeba::group {
 
 namespace {
+/// Invitation rounds before non-responders are declared dead; twice as
+/// many retrieval rounds before recovery starts over.
+constexpr int kInviteRetries = 4;
+/// Spacing of the coordinator's retrieval requests for missing messages.
+constexpr Duration kRetrieveTimeout = Duration::millis(200);
+/// The result view is multicast this many times (no ack round).
+constexpr int kResultRebroadcasts = 3;
+
 /// Orders concurrent recovery attempts.
 struct ResetKey {
   Incarnation inc;
@@ -114,7 +122,7 @@ void GroupMember::coord_invite_round() {
   exec_.cancel_timer(r.timer);
   r.timer = transport::kInvalidTimer;
 
-  if (r.invite_rounds >= cfg_.invite_retries) {
+  if (r.invite_rounds >= kInviteRetries) {
     // Non-responders are now dead (unreliable failure detection).
     coord_try_conclude();
     return;
@@ -189,7 +197,7 @@ void GroupMember::on_reset_invite(const flip::Address&, const WireMsg& m) {
   // so the application can trigger a fresh attempt.
   exec_.cancel_timer(recovery_->timer);
   recovery_->timer = exec_.set_timer(
-      cfg_.invite_interval * (cfg_.invite_retries + 6), [this] {
+      cfg_.invite_interval * (kInviteRetries + 6), [this] {
         if (recovery_.has_value() && !recovery_->coordinator &&
             state_ == State::recovering) {
           abandon_recovery();
@@ -296,7 +304,7 @@ void GroupMember::coord_request_missing() {
     coord_finish();
     return;
   }
-  if (++r.retrieve_attempts > cfg_.invite_retries * 2) {
+  if (++r.retrieve_attempts > kInviteRetries * 2) {
     // A supplier died mid-recovery: run the algorithm again (the paper's
     // "the recovery algorithm starts again until it succeeds or fails").
     r.votes.clear();
@@ -327,7 +335,7 @@ void GroupMember::coord_request_missing() {
       break;
     }
   }
-  r.timer = exec_.set_timer(cfg_.retrieve_timeout,
+  r.timer = exec_.set_timer(kRetrieveTimeout,
                             [this] { coord_request_missing(); });
 }
 
@@ -491,7 +499,7 @@ void GroupMember::coord_finish() {
   snap.next_member_id = next_member_id_;
   snap.next_seq = r.target;
   snap.members = members_;
-  for (int i = 0; i < cfg_.result_rebroadcasts; ++i) {
+  for (int i = 0; i < kResultRebroadcasts; ++i) {
     WireMsg m;
     m.type = WireType::reset_result;
     m.incarnation = inc_;

@@ -18,8 +18,14 @@ namespace amoeba::group {
 namespace {
 /// Per-entry wire overhead inside a seq_packed frame (sender, msg_id,
 /// payload_len, kind, flags) — mirrors the codec's entry head in
-/// message.cpp; used for the batch_bytes budget.
+/// message.cpp; used for the kBatchBytes budget.
 constexpr std::size_t kPackedEntryOverhead = 14;
+/// Byte budget for one packed frame's payload: 1398 bytes of FLIP payload
+/// (one Ethernet fragment) minus the 60-byte group header, so packing
+/// never induces fragmentation. A message larger than the budget still
+/// travels — it simply gets a frame of its own, exactly as without
+/// batching.
+constexpr std::size_t kBatchBytes = 1338;
 }  // namespace
 
 void GroupMember::seq_on_request(const flip::Address&, WireMsg m,
@@ -108,7 +114,7 @@ bool GroupMember::seq_assign(MemberId sender, std::uint32_t msg_id,
          .flags = via_bb ? std::uint8_t{1} : std::uint8_t{0}, .peer = sender,
          .seq = s, .msg_id = msg_id, .a = check::fingerprint(data));
   // The sequencer's re-emit copy: history buffer -> Lance for the broadcast.
-  exec_.charge(exec_.costs().copy_time(data.size(), exec_.costs().seq_tx_copies));
+  exec_.charge(exec_.costs().copy_time(data.size()));
 
   // Batching: the stamped message joins the pending frame instead of being
   // multicast immediately. The flush below (inline when the batch fills or
@@ -150,7 +156,7 @@ bool GroupMember::seq_assign(MemberId sender, std::uint32_t msg_id,
   if (none_needed) seq_finalize(s);
 
   if (!app || batch_.size() >= cfg_.batch_count ||
-      batch_bytes_pending_ >= cfg_.batch_bytes) {
+      batch_bytes_pending_ >= kBatchBytes) {
     seq_flush_emit();  // membership events and full batches go out now
   } else {
     seq_schedule_flush();
@@ -295,7 +301,7 @@ void GroupMember::seq_flush_emit() {
     std::size_t j = i;
     while (j < batch.size() && (j - i) < cfg_.batch_count) {
       const std::size_t need = kPackedEntryOverhead + batch[j].payload.size();
-      if (j > i && bytes + need > cfg_.batch_bytes) break;
+      if (j > i && bytes + need > kBatchBytes) break;
       bytes += need;
       ++j;
     }
@@ -430,7 +436,7 @@ void GroupMember::seq_catch_up(MemberId member, SeqNum from) {
   // the missing messages; duplicates are harmless.
   std::uint32_t served = 0;
   for (SeqNum s = from;
-       seq_lt(s, next_assign_) && served < cfg_.nack_batch; ++s, ++served) {
+       seq_lt(s, next_assign_) && served < nack_limit(); ++s, ++served) {
     seq_serve_retransmit(member, s);
   }
 }
@@ -517,8 +523,7 @@ void GroupMember::seq_serve_retransmit(MemberId to, SeqNum seq) {
   }
   ++stats_.retransmits_served;
   GTRACE(retransmit, .peer = to, .seq = seq);
-  exec_.charge(
-      exec_.costs().copy_time(m.payload.size(), exec_.costs().seq_tx_copies));
+  exec_.charge(exec_.costs().copy_time(m.payload.size()));
   if (to == my_id_) return;  // we obviously have it
   ++stats_.retransmit_payload_encodes;
   m.incarnation = inc_;

@@ -48,7 +48,7 @@ void SimProcess::user_deliver(std::uint32_t shard, const GroupMessage& m,
   // Modeled as a separate CPU task so delivery timestamps land after U3,
   // matching the endpoint of the paper's Figure 2 breakdown.
   const auto& c = exec_.costs();
-  Duration cost = c.user_deliver + c.copy_time(m.data.size(), c.user_copies);
+  Duration cost = c.user_deliver + c.copy_time(m.data.size());
   // Waking the blocked receiving thread costs a full context switch only
   // when the CPU is otherwise idle; on a saturated node the thread is
   // runnable and resumes with the queued work (this is why the paper's

@@ -4,13 +4,13 @@
 // simulated NIC, and a group::Node hosting the process's member of every
 // group ("shard") of the experiment. A classic single-group run is the
 // one-shard case, and its traffic is the paper protocol. Its member does
-// run with GroupConfig::cross_shard on, as the Node sets it for every
-// member; without a cross-shard sender that changes no trace event or
-// delivery. The process also models the user level (the blocking
-// SendToGroup / ReceiveFromGroup pair and its thread context switches)
-// for every delivery of every shard, so experiments charge the same
-// per-layer costs the paper's Table 3 reports. Used by the test suite,
-// every simulator bench, and the simulator examples.
+// serve cross-shard traffic, as every Node-hosted member does; without a
+// cross-shard sender that changes no trace event or delivery. The process
+// also models the user level (the blocking SendToGroup / ReceiveFromGroup
+// pair and its thread context switches) for every delivery of every shard,
+// so experiments charge the same per-layer costs the paper's Table 3
+// reports. Used by the test suite, every simulator bench, and the
+// simulator examples.
 //
 // Tracing: each member writes its own ring, collected as "m<i>" (and
 // "m<i>r<k>" after the k-th restart) in a single-group run, or "m<i>.s<s>"

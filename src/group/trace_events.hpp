@@ -14,7 +14,7 @@
                    .kind = ::amoeba::check::EventKind::kind_,     \
                    .member = my_id_,                              \
                    .inc = inc_,                                   \
-                   .group = cfg_.group_tag __VA_OPT__(, ) __VA_ARGS__})
+                   .group = group_tag_ __VA_OPT__(, ) __VA_ARGS__})
 
 // Same, under an explicit incarnation (recovery paths where inc_ is not
 // yet, or no longer, the incarnation the event belongs to).
@@ -25,4 +25,4 @@
                    .kind = ::amoeba::check::EventKind::kind_,     \
                    .member = my_id_,                              \
                    .inc = (inc_v),                                \
-                   .group = cfg_.group_tag __VA_OPT__(, ) __VA_ARGS__})
+                   .group = group_tag_ __VA_OPT__(, ) __VA_ARGS__})

@@ -31,13 +31,13 @@
 //   - a commit for an unknown xid re-enters directly as a committed
 //     pending (the commit carries everything needed), and the shard clock
 //     advances to max(clock, final) so later proposals sort after it;
-//   - a *quarantine* window (xshard_retry * 4) after every role
+//   - a *quarantine* window (kXShardRetry * 4) after every role
 //     acquisition holds all releases while accepting sends and commits, so
 //     the origins' retry cadence repopulates the table before any ordering
 //     decision is taken. Without it, a pre-reset commit racing a fully
 //     post-reset round could release out of (final, xid) order.
 // Uncommitted pendings whose origin has evidently died (no commit after
-// xshard_retry * xshard_retries * 2) are expired so they cannot block the
+// kXShardRetry * xshard_retries * 2) are expired so they cannot block the
 // shard forever; docs/PROTOCOL.md discusses the residual window this
 // leaves under partitions longer than the quarantine.
 #include <tuple>
@@ -56,7 +56,7 @@ constexpr std::size_t kXReleasedMemory = 4096;
 void GroupMember::seq_on_xshard_send(const WireMsg& m) {
   XShardSend x;
   if (!decode_xshard_send_payload(m.payload, x)) return;
-  if ((x.mask & (1u << cfg_.group_tag)) == 0) return;  // not for this shard
+  if ((x.mask & (1u << group_tag_)) == 0) return;  // not for this shard
   if (xreleased_.count(x.xid) != 0) return;  // already in the stream
   auto [it, inserted] = xpending_.try_emplace(x.xid);
   XPending& p = it->second;
@@ -78,7 +78,7 @@ void GroupMember::seq_on_xshard_send(const WireMsg& m) {
   if (trace_) trace_(true, rep, exec_.now());
   XShardPropose pr;
   pr.xid = p.xid;
-  pr.shard = cfg_.group_tag;
+  pr.shard = group_tag_;
   pr.ts = p.proposed;
   flip_.send(m.addr, my_addr_, encode_xshard_propose_wire(rep, pr));
 }
@@ -86,7 +86,7 @@ void GroupMember::seq_on_xshard_send(const WireMsg& m) {
 void GroupMember::seq_on_xshard_commit(const WireMsg& m) {
   XShardCommit x;
   if (!decode_xshard_commit_payload(m.payload, x)) return;
-  if ((x.mask & (1u << cfg_.group_tag)) == 0) return;
+  if ((x.mask & (1u << group_tag_)) == 0) return;
   ++stats_.xshard_commits;
   if (xreleased_.count(x.xid) != 0) return;  // duplicate after injection
   auto [it, inserted] = xpending_.try_emplace(x.xid);
@@ -112,7 +112,7 @@ void GroupMember::seq_on_xshard_commit(const WireMsg& m) {
 }
 
 void GroupMember::xshard_try_release() {
-  if (!cfg_.cross_shard || !i_am_sequencer()) return;
+  if (!cross_shard_ || !i_am_sequencer()) return;
   const Time now = exec_.now();
   if (now < xquarantine_until_) {
     // Role freshly acquired: hold ordering decisions until origin retries
@@ -123,7 +123,7 @@ void GroupMember::xshard_try_release() {
   // Expire uncommitted proposals whose origin has evidently given up (it
   // would have retried the send or delivered the commit long ago).
   const Duration expiry =
-      cfg_.xshard_retry * static_cast<std::int64_t>(cfg_.xshard_retries) * 2;
+      kXShardRetry * static_cast<std::int64_t>(cfg_.xshard_retries) * 2;
   for (auto it = xpending_.begin(); it != xpending_.end();) {
     if (!it->second.committed && now - it->second.created > expiry) {
       ++stats_.xshard_expired;
@@ -176,7 +176,7 @@ void GroupMember::xshard_try_release() {
 
 void GroupMember::xshard_schedule_release() {
   if (xrelease_timer_ != transport::kInvalidTimer) return;
-  xrelease_timer_ = exec_.set_timer(cfg_.xshard_retry, [this] {
+  xrelease_timer_ = exec_.set_timer(kXShardRetry, [this] {
     xrelease_timer_ = transport::kInvalidTimer;
     xshard_try_release();
   });
@@ -195,7 +195,7 @@ void GroupMember::xshard_note_role(bool am_seq_now) {
     // Fresh CreateGroup: no predecessor, nothing in flight to wait for.
     return;
   }
-  xquarantine_until_ = exec_.now() + cfg_.xshard_retry * 4;
+  xquarantine_until_ = exec_.now() + kXShardRetry * 4;
   ++stats_.xshard_quarantines;
   xshard_schedule_release();
 }

@@ -4,6 +4,11 @@
 
 namespace amoeba::rpc {
 
+namespace {
+/// How long a served reply stays cached for duplicate suppression.
+constexpr Duration kReplyCacheTtl = Duration::seconds(2);
+}  // namespace
+
 RpcEndpoint::RpcEndpoint(flip::FlipStack& flip, transport::Executor& exec,
                          flip::Address my_address, RpcConfig config)
     : flip_(flip), exec_(exec), my_addr_(my_address), cfg_(config) {
@@ -21,7 +26,7 @@ RpcEndpoint::~RpcEndpoint() {
 
 Buffer RpcEndpoint::encode(MsgType type, std::uint64_t xid,
                            flip::Address client, const Buffer& payload) const {
-  BufWriter w(32 + payload.size());
+  BufWriter w(kHeaderBytes + payload.size());
   w.u8(static_cast<std::uint8_t>(type));
   w.u64(xid);
   w.u64(client.id);
@@ -33,7 +38,7 @@ Buffer RpcEndpoint::encode(MsgType type, std::uint64_t xid,
 }
 
 void RpcEndpoint::call(flip::Address server, Buffer request, ReplyCb done) {
-  if (request.size() > cfg_.max_message) {
+  if (request.size() > kMaxMessage) {
     done(Status::overflow);
     return;
   }
@@ -139,11 +144,10 @@ void RpcEndpoint::reply(const Request& request, Buffer response) {
   in_progress_.erase(key);
   CachedReply cached;
   cached.response = response;
-  cached.expires = exec_.now() + cfg_.reply_cache_ttl;
+  cached.expires = exec_.now() + kReplyCacheTtl;
   served_[key] = std::move(cached);
   if (gc_timer_ == transport::kInvalidTimer) {
-    gc_timer_ =
-        exec_.set_timer(cfg_.reply_cache_ttl, [this] { gc_reply_cache(); });
+    gc_timer_ = exec_.set_timer(kReplyCacheTtl, [this] { gc_reply_cache(); });
   }
   exec_.charge(exec_.costs().copy_time(response.size()));
   Buffer pkt = encode(MsgType::reply, request.xid, request.client, response);
@@ -175,8 +179,7 @@ void RpcEndpoint::gc_reply_cache() {
     it = it->second.expires <= now ? served_.erase(it) : ++it;
   }
   if (!served_.empty()) {
-    gc_timer_ =
-        exec_.set_timer(cfg_.reply_cache_ttl, [this] { gc_reply_cache(); });
+    gc_timer_ = exec_.set_timer(kReplyCacheTtl, [this] { gc_reply_cache(); });
   }
 }
 

@@ -24,9 +24,6 @@ namespace amoeba::rpc {
 struct RpcConfig {
   Duration retry = Duration::millis(100);
   int retries = 5;
-  std::size_t max_message = 64 * 1024;
-  /// How long a served reply stays cached for duplicate suppression.
-  Duration reply_cache_ttl = Duration::seconds(2);
 };
 
 struct RpcStats {
@@ -41,6 +38,11 @@ struct RpcStats {
 
 class RpcEndpoint {
  public:
+  /// Encoded RPC header: the paper's 32-byte Amoeba user header.
+  static constexpr std::size_t kHeaderBytes = 32;
+  /// Largest request call() accepts: FLIP's limit minus the RPC header.
+  static constexpr std::size_t kMaxMessage = flip::kMaxMessage - kHeaderBytes;
+
   /// Completion of a client call: the reply bytes, or a failure status
   /// (timeout after the retry budget).
   using ReplyCb = std::function<void(Result<Buffer>)>;
@@ -60,7 +62,8 @@ class RpcEndpoint {
   RpcEndpoint(const RpcEndpoint&) = delete;
   RpcEndpoint& operator=(const RpcEndpoint&) = delete;
 
-  /// Client side (trans): send `request`, get the reply or a timeout.
+  /// Client side (trans): send `request`, get the reply or a timeout. A
+  /// request over kMaxMessage fails at once with Status::overflow.
   void call(flip::Address server, Buffer request, ReplyCb done);
 
   /// Server side (getreq): `handler` runs once per unique request; answer

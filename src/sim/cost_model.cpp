@@ -10,7 +10,6 @@ CostModel CostModel::free() {
   m.eth_rx = Duration::zero();
   m.flip_packet = Duration::zero();
   m.group_send = Duration::zero();
-  m.group_sequence = Duration::zero();
   m.group_order = Duration::zero();
   m.group_emit = Duration::zero();
   m.group_unpack = Duration::zero();
@@ -23,16 +22,6 @@ CostModel CostModel::free() {
   m.user_deliver = Duration::zero();
   m.ctx_switch = Duration::zero();
   m.copy_us_per_byte = 0.0;
-  return m;
-}
-
-CostModel CostModel::zero_copy() {
-  CostModel m;  // testbed timings unchanged; only the copy counts differ
-  m.sender_copies = 1.0;  // user buffer -> wire: one copy remains
-  m.seq_rx_copies = 0.0;  // history holds a view of the datagram
-  m.seq_tx_copies = 1.0;  // history -> wire on re-emit
-  m.recv_copies = 0.0;    // member history holds a view
-  m.user_copies = 0.0;    // delivery hands the application a view
   return m;
 }
 

@@ -58,9 +58,8 @@ struct CostModel {
   // --- Group layer (Table 3: G1 + G2 + G3 = 740 us) ---------------------
   /// G1: sender-side group protocol work per SendToGroup.
   Duration group_send = Duration::micros(150);
-  /// G2: sequencer work to order + re-emit one message. Kept as the sum of
-  /// the two split components below so existing calibration anchors hold.
-  Duration group_sequence = Duration::micros(360);
+  /// G2, sequencer work to order + re-emit one message, is charged in the
+  /// two halves below; group_sequence() is their sum (360 us).
   /// G2 split, ordering half: stamping one request (sequence counter,
   /// history append, per-sender FIFO window bookkeeping). "The sequencer
   /// performs a simple and computationally unintensive task" — the cheap
@@ -69,9 +68,7 @@ struct CostModel {
   /// G2 split, emission half: constructing and handing one broadcast frame
   /// to the driver (header build, Lance descriptor setup). Charged once
   /// per emitted frame, so packed frames amortize it across the messages
-  /// they carry. Invariant: group_order + group_emit == group_sequence,
-  /// which keeps the single-message (batch_count = 1) path bit-identical
-  /// in time to the unbatched protocol.
+  /// they carry; a single-message frame pays exactly group_sequence().
   Duration group_emit = Duration::micros(240);
   /// Unpacking one additional message from a packed frame at a receiver
   /// (header parse + ordering-buffer insert, without the per-frame
@@ -107,24 +104,15 @@ struct CostModel {
   // --- Memory copies ------------------------------------------------------
   /// memcpy throughput on a 20-MHz 68030, expressed as us per byte. A
   /// receiver copies each message twice (Lance -> history buffer ->
-  /// user space); the sequencer three times (Section 4).
+  /// user space); the sequencer three times (Section 4). The protocol
+  /// code charges one copy_time(bytes) at each point the paper's kernel
+  /// copied a payload: the sender (user buffer -> kernel), the sequencer
+  /// (Lance -> history, history -> Lance on emit and retransmit), each
+  /// member (Lance -> history) and delivery (history -> user space).
   double copy_us_per_byte = 0.15;
 
-  /// Per-site copy counts. The protocol code charges
-  /// `copy_time(bytes, <site>_copies)` at each point the paper's kernel
-  /// copied a payload; the defaults (1.0 each) reproduce the paper's
-  /// copy-heavy path. A zero-copy implementation zeroes the sites its
-  /// buffer sharing eliminates — see zero_copy().
-  /// Sender: user buffer -> kernel (fill_pipeline).
-  double sender_copies = 1.0;
-  /// Sequencer receive: Lance -> history buffer (data_pb / data_bb rx).
-  double seq_rx_copies = 1.0;
-  /// Sequencer transmit: history -> Lance (seq_data emit + retransmits).
-  double seq_tx_copies = 1.0;
-  /// Member receive: Lance -> history buffer (seq_data / retransmit rx).
-  double recv_copies = 1.0;
-  /// Delivery: history buffer -> user space (ReceiveFromGroup copy-out).
-  double user_copies = 1.0;
+  /// G2: the sequencer's work to order and re-emit one message.
+  Duration group_sequence() const noexcept { return group_order + group_emit; }
 
   /// Wire time for a frame of `wire_bytes` (headers included).
   Duration wire_time(std::size_t wire_bytes) const noexcept {
@@ -139,20 +127,8 @@ struct CostModel {
     return Duration::from_micros_f(static_cast<double>(n) * copy_us_per_byte);
   }
 
-  /// CPU time to copy `n` bytes `copies` times (per-site copy accounting).
-  Duration copy_time(std::size_t n, double copies) const noexcept {
-    return Duration::from_micros_f(static_cast<double>(n) * copy_us_per_byte *
-                                   copies);
-  }
-
   /// The paper's testbed: defaults above.
   static CostModel mc68030_ether10() { return CostModel{}; }
-
-  /// The paper's testbed with a zero-copy kernel message path: received
-  /// payloads are delivered as views of the datagram (no Lance -> history
-  /// or history -> user copies); the sender and the sequencer's re-emit
-  /// still pay one copy each to place bytes on the wire.
-  static CostModel zero_copy();
 
   /// A zero-cost model: only wire time remains. Used by functional tests
   /// that care about protocol correctness, not timing.

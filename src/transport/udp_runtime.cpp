@@ -6,7 +6,6 @@
 #include "transport/udp_runtime.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <net/if.h>
 #include <netinet/in.h>
 #include <poll.h>
@@ -60,8 +59,6 @@ constexpr std::uint32_t kBroadcastGroupHost = 0xEFC0FFFFu;  // 239.192.255.255
 
 std::uint32_t broadcast_group_be() { return htonl(kBroadcastGroupHost); }
 
-void set_nonblock(int fd) { ::fcntl(fd, F_SETFL, O_NONBLOCK); }
-
 }  // namespace
 
 Status UdpOptions::normalize() {
@@ -95,8 +92,6 @@ void UdpRuntime::init(const UdpOptions& options) {
     if (fd_ >= 0) ::close(fd_);
     fd_ = -1;
     if (mcast_fd_ >= 0) ::close(mcast_fd_);
-    if (wake_rd_ >= 0) ::close(wake_rd_);
-    if (wake_wr_ >= 0 && wake_wr_ != wake_rd_) ::close(wake_wr_);
     throw std::runtime_error("UdpRuntime: " + what);
   };
 
@@ -130,19 +125,11 @@ void UdpRuntime::init(const UdpOptions& options) {
     }
   }
 
-  // Wake channel: eventfd (one word, one fd) with a pipe fallback.
-  wake_rd_ = ::eventfd(0, EFD_NONBLOCK);
-  if (wake_rd_ >= 0) {
-    wake_wr_ = wake_rd_;
-    wake_is_eventfd_ = true;
-  } else {
-    int p[2];
-    if (::pipe(p) != 0) fail("eventfd() and pipe() both failed");
-    set_nonblock(p[0]);
-    set_nonblock(p[1]);
-    wake_rd_ = p[0];
-    wake_wr_ = p[1];
-  }
+  // Wake channel: one eventfd. Every kernel with the recvmmsg/sendmmsg
+  // this runtime needs has eventfd; when it fails, the process is out of
+  // file descriptors, and a pipe would need two.
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK);
+  if (wake_fd_ < 0) fail("eventfd() failed");
 
   if (opts_.kernel_multicast) setup_multicast();
 }
@@ -222,8 +209,7 @@ UdpRuntime::~UdpRuntime() {
   stop();
   if (fd_ >= 0) ::close(fd_);
   if (mcast_fd_ >= 0) ::close(mcast_fd_);
-  if (wake_rd_ >= 0) ::close(wake_rd_);
-  if (wake_wr_ >= 0 && wake_wr_ != wake_rd_) ::close(wake_wr_);
+  if (wake_fd_ >= 0) ::close(wake_fd_);
 }
 
 void UdpRuntime::set_station_table(
@@ -272,24 +258,13 @@ void UdpRuntime::wake() {
     return;
   }
   io_stats_.wakeups.fetch_add(1, std::memory_order_relaxed);
-  if (wake_is_eventfd_) {
-    const std::uint64_t one = 1;
-    [[maybe_unused]] const auto n = ::write(wake_wr_, &one, sizeof(one));
-  } else {
-    const char b = 1;
-    [[maybe_unused]] const auto n = ::write(wake_wr_, &b, 1);
-  }
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const auto n = ::write(wake_fd_, &one, sizeof(one));
 }
 
 void UdpRuntime::drain_wake_fd() {
-  if (wake_is_eventfd_) {
-    std::uint64_t v;
-    while (::read(wake_rd_, &v, sizeof(v)) > 0) {
-    }
-  } else {
-    char drain[64];
-    while (::read(wake_rd_, drain, sizeof(drain)) > 0) {
-    }
+  std::uint64_t v;
+  while (::read(wake_fd_, &v, sizeof(v)) > 0) {
   }
   wake_pending_.store(false, std::memory_order_release);
 }
@@ -340,7 +315,6 @@ void UdpRuntime::enqueue_tx(Endpoint to, BufView payload, bool mcast) {
     // Backpressure: flush inline, still under mu_, instead of letting a
     // stalled flusher grow the queue without bound. The deliberate
     // exception to "syscalls outside mu_" — bounded memory wins.
-    io_stats_.tx_queue_hwm_hits.fetch_add(1, std::memory_order_relaxed);
     io_stats_.tx_backpressure_waits.fetch_add(1, std::memory_order_relaxed);
     std::vector<PendingTx> batch;
     batch.swap(tx_queue_);
@@ -640,7 +614,7 @@ void UdpRuntime::loop() {
 
     // mcast_fd_ is -1 unless kernel multicast is up; poll skips it then.
     pollfd fds[3] = {{fd_, POLLIN, 0}, {mcast_fd_, POLLIN, 0},
-                     {wake_rd_, POLLIN, 0}};
+                     {wake_fd_, POLLIN, 0}};
     const int rc = ::poll(fds, 3, timeout_ms);
     if (rc < 0) continue;
     const bool woke = (fds[2].revents & POLLIN) != 0;

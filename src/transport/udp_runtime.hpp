@@ -38,8 +38,8 @@
 //     swapped out earlier; each flush owns its batch, so the two share
 //     only the socket (the kernel serializes sendmmsg) and the relaxed
 //     io_stats_ counters.
-//   - The wake path is an eventfd (pipe fallback) with a pending-flag
-//     suppressor: back-to-back posts cost one syscall, not one each
+//   - The wake path is an eventfd with a pending-flag suppressor:
+//     back-to-back posts cost one syscall, not one each
 //     (`wakes_suppressed`), and wake-ups that find no work are counted
 //     (`wake_spurious`).
 //
@@ -92,7 +92,6 @@ struct UdpIoStats {
   std::atomic<std::uint64_t> wakes_suppressed{0};  // a wake was in flight
   std::atomic<std::uint64_t> wake_spurious{0};     // woke to no work
   // --- bounded tx queue ----------------------------------------------------
-  std::atomic<std::uint64_t> tx_queue_hwm_hits{0};  // enqueue at the limit
   std::atomic<std::uint64_t> tx_backpressure_waits{0};  // inline flushes
 };
 
@@ -239,9 +238,7 @@ class UdpRuntime final : public Executor, public Device {
   UdpOptions opts_;
   int fd_{-1};
   int mcast_fd_{-1};
-  int wake_rd_{-1};
-  int wake_wr_{-1};
-  bool wake_is_eventfd_{false};
+  int wake_fd_{-1};
   std::atomic<bool> wake_pending_{false};
   std::uint16_t local_port_{0};
   std::uint16_t mcast_port_{0};

@@ -24,7 +24,7 @@ struct CmHarness {
   std::vector<std::unique_ptr<Proc>> procs;
   flip::Address gaddr = flip::group_address(0xC3);
 
-  explicit CmHarness(std::size_t n, CmConfig cfg = {}) : world(n) {
+  explicit CmHarness(std::size_t n) : world(n) {
     std::vector<flip::Address> ring;
     for (std::size_t i = 0; i < n; ++i) {
       ring.push_back(flip::process_address(i + 1));
@@ -34,7 +34,7 @@ struct CmHarness {
       auto* raw = p.get();
       p->member = std::make_unique<CmMember>(
           p->flip, p->exec, ring[i], gaddr, ring,
-          static_cast<std::uint32_t>(i), cfg,
+          static_cast<std::uint32_t>(i),
           [raw](const CmMember::Delivery& d) { raw->delivered.push_back(d); });
       procs.push_back(std::move(p));
     }

@@ -163,23 +163,5 @@ TEST(GroupWireProperty, EncodeDecodeRoundTripsEveryField) {
   }
 }
 
-TEST(CostModel, ZeroCopyPresetDropsReceiveSideCopies) {
-  const auto def = sim::CostModel::mc68030_ether10();
-  const auto zc = sim::CostModel::zero_copy();
-  // The paper's copy-heavy path: every site copies once by default.
-  EXPECT_EQ(def.copy_time(1000, def.recv_copies), def.copy_time(1000));
-  EXPECT_EQ(def.copy_time(1000, def.user_copies), def.copy_time(1000));
-  // Zero-copy: receive-side and delivery copies vanish; the sender and the
-  // sequencer's re-emit still pay to place bytes on the wire.
-  EXPECT_EQ(zc.copy_time(1000, zc.recv_copies), Duration::zero());
-  EXPECT_EQ(zc.copy_time(1000, zc.user_copies), Duration::zero());
-  EXPECT_EQ(zc.copy_time(1000, zc.seq_rx_copies), Duration::zero());
-  EXPECT_EQ(zc.copy_time(1000, zc.sender_copies), zc.copy_time(1000));
-  EXPECT_EQ(zc.copy_time(1000, zc.seq_tx_copies), zc.copy_time(1000));
-  // Timing anchors are untouched: only copy counts differ.
-  EXPECT_EQ(zc.group_sequence.ns, def.group_sequence.ns);
-  EXPECT_EQ(zc.copy_us_per_byte, def.copy_us_per_byte);
-}
-
 }  // namespace
 }  // namespace amoeba

@@ -209,7 +209,7 @@ TEST(CostModel, WireTimeAndCopies) {
   EXPECT_EQ(m.copy_time(0).ns, 0);
   // The free model really is free.
   const sim::CostModel f = sim::CostModel::free();
-  EXPECT_EQ(f.group_sequence.ns, 0);
+  EXPECT_EQ(f.group_sequence().ns, 0);
   EXPECT_EQ(f.copy_time(100000).ns, 0);
   EXPECT_LT(f.wire_time(1514).to_micros(), 2.0);
 }

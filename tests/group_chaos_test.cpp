@@ -14,11 +14,21 @@
 namespace amoeba::group {
 namespace {
 
+// CTest names each case with gtest's raw byte dump of its parameter.
+// `pad` takes the place of the compiler's padding after `allow_crashes`,
+// so those bytes are zero on every build instead of whatever the stack
+// held.
 struct ChaosParams {
   std::uint64_t seed;
   double loss;
   bool allow_crashes;
+  std::uint8_t pad[7]{};
 };
+// No implicit padding left: the members fill the whole object.
+// (has_unique_object_representations_v is false for any struct holding a
+// double, so the check is by size.)
+static_assert(sizeof(ChaosParams) ==
+              sizeof(std::uint64_t) + sizeof(double) + sizeof(bool) + 7);
 
 class GroupChaos : public ::testing::TestWithParam<ChaosParams> {};
 

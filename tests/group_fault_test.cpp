@@ -1,8 +1,10 @@
 // Fault-injection tests: the protocol's negative-acknowledgement recovery
 // from lost, garbled, and duplicated frames (Section 2.1: "the group
 // protocol automatically recovers from lost, garbled, and duplicate
-// messages"), plus sequencer overload behaviour.
+// messages"), plus sequencer overload behaviour and the NACK batch cap.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "group/sim_harness.hpp"
 
@@ -195,6 +197,49 @@ TEST(GroupFault, ExpelledButAliveMemberLearnsItsFate) {
   ASSERT_TRUE(h.run_until(
       [&] { return h.process(2).fault().has_value(); }, Duration::seconds(60)));
   EXPECT_EQ(h.process(2).member().state(), GroupMember::State::failed);
+}
+
+/// Cuts member 2 off while member 1 completes `sends` messages, then
+/// reconnects it and sends a few more, so it hears a sequence number far
+/// past its gap. Returns the most messages any NACK (`nack` trace event)
+/// asked for.
+std::uint64_t largest_nack_after_cutoff(const GroupConfig& cfg, int sends) {
+  SimGroupHarness h(3, cfg);
+  EXPECT_TRUE(h.form_group());
+  h.process(2).faults().crash();
+  int completed = 0;
+  pump_sends(h, 1, sends, &completed);
+  EXPECT_TRUE(h.run_until([&] { return completed == sends; },
+                          Duration::seconds(120)));
+  h.process(2).faults().revive();
+  int after = 0;
+  pump_sends(h, 1, 5, &after);
+  EXPECT_TRUE(
+      h.run_until([&] { return after == 5; }, Duration::seconds(60)));
+  h.run_until([] { return false; }, Duration::seconds(2));
+
+  std::uint64_t largest = 0;
+  int nacks = 0;
+  for (const check::RingTrace& r : h.traces().rings()) {
+    for (const check::TraceEvent& e : r.events) {
+      if (e.kind != check::EventKind::nack) continue;
+      ++nacks;
+      largest = std::max(largest, e.a);
+    }
+  }
+  EXPECT_GT(nacks, 0);
+  return largest;
+}
+
+TEST(GroupFault, NackAsksForAtMostOneBatch) {
+  // One NACK covers at most 16 missing messages, and never more than the
+  // history retains; a member that missed more asks again for the rest.
+  EXPECT_EQ(largest_nack_after_cutoff(GroupConfig{}, 40), 16u);
+  // With an 8-message history the sequencer expels the silent member to
+  // keep going, so it comes back more than 8 messages behind.
+  GroupConfig small;
+  small.history_size = 8;
+  EXPECT_EQ(largest_nack_after_cutoff(small, 40), 8u);
 }
 
 TEST(GroupFault, SenderTimesOutWhenSequencerDies) {

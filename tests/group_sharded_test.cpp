@@ -5,12 +5,14 @@
 // formation, single-shard traffic through the unmodified protocol,
 // exactly-once cross-shard delivery, genuineness (non-addressed shards do
 // zero work), the single-bit fast path, recovery of a cross-shard workload
-// after a shard sequencer's station crashes, and the origin's retry budget.
+// after a shard sequencer's station crashes, the origin's retry budget, and
+// its message-size limit.
 //
 // NodeHosting checks the two modelling facts SimGroupHarness rests on: a
 // member hosted by a one-shard Node runs exactly the protocol a bare
 // GroupMember runs, and every shard's delivery pays the user-level receive
-// cost.
+// cost. It also checks what hosting adds: only a Node-hosted sequencer
+// serves cross-shard frames.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -380,8 +382,9 @@ TEST(Sharded, CrossShardSurvivesSequencerStationCrash) {
 }
 
 TEST(Sharded, CrossShardRoundTimesOutAfterItsRetryBudget) {
-  // The origin's cadence comes from the shards' GroupConfig, the same pair
-  // the sequencers derive their quarantine and expiry from.
+  // The origin retries every kXShardRetry, within the budget the shards'
+  // GroupConfig gives; the sequencers derive their expiry from the same
+  // pair.
   GroupConfig cfg = quick_cfg();
   cfg.xshard_retries = 2;
   SimGroupHarness h = sharded(3, 2, cfg);
@@ -402,8 +405,43 @@ TEST(Sharded, CrossShardRoundTimesOutAfterItsRetryBudget) {
   ASSERT_TRUE(h.run_until([&] { return done; }, Duration::seconds(5)));
   EXPECT_EQ(status, Status::timeout);
   // Two retries, then the third tick finds the budget spent.
-  EXPECT_GE(end - start, cfg.xshard_retry * 3);
-  EXPECT_LT(end - start, cfg.xshard_retry * 4);
+  EXPECT_GE(end - start, kXShardRetry * 3);
+  EXPECT_LT(end - start, kXShardRetry * 4);
+}
+
+TEST(Sharded, OversizeCrossShardSendRejectedImmediately) {
+  // A cross-shard payload travels inside the 24-byte commit envelope of a
+  // group message, within FLIP's 64 KiB. The largest payload reaches both
+  // shards; one byte more is refused at once, before any round starts.
+  constexpr std::size_t kMax = Node::kMaxMessage;
+  static_assert(kMax == 64 * 1024 - 60 - 24);
+  SimGroupHarness h = sharded(3, 2);
+  ASSERT_TRUE(h.form_group());
+  Node& origin = h.process(0).node();
+
+  std::optional<Status> over;
+  origin.send_multi(0b11u, Buffer(kMax + 1), [&](Status s) { over = s; });
+  ASSERT_TRUE(over.has_value());
+  EXPECT_EQ(*over, Status::overflow);
+  EXPECT_EQ(origin.stats().xsends.load(), 0u);
+
+  std::optional<Status> max;
+  origin.send_multi(0b11u, make_pattern_buffer(kMax),
+                    [&](Status s) { max = s; });
+  ASSERT_TRUE(h.run_until([&] { return max.has_value(); },
+                          Duration::seconds(10)));
+  EXPECT_EQ(*max, Status::ok);
+  h.run_until([] { return false; }, Duration::millis(300));  // quiesce
+  for (std::size_t i = 0; i < 3; ++i) {
+    int got = 0;
+    for (const auto& d : h.process(i).delivered()) {
+      if (d.xid != 0 && d.data.size() == kMax) ++got;
+    }
+    EXPECT_EQ(got, 2) << "n" << i << ": once per addressed shard";
+    for (std::uint32_t s = 0; s < 2; ++s) {
+      EXPECT_EQ(h.process(i).member(s).state(), GroupMember::State::running);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -422,8 +460,7 @@ struct BareProcess {
                         [this](const GroupMessage& m) {
                           const auto& c = exec.costs();
                           Duration cost = c.user_deliver +
-                                          c.copy_time(m.data.size(),
-                                                      c.user_copies);
+                                          c.copy_time(m.data.size());
                           if (node.cpu_free() <= exec.now()) {
                             cost += c.ctx_switch;
                           }
@@ -609,6 +646,79 @@ TEST(NodeHosting, OneShardRunsTheBareMemberProtocol) {
             << "m" << i;
       }
     }
+  }
+}
+
+/// Hands the sequencer (process 0) one cross-shard round's frames for shard
+/// 0, xshard_send and then xshard_commit, from an origin endpoint on
+/// `origin_stack`. Returns how many xshard_propose replies came back.
+template <class Harness>
+int feed_xshard_round(Harness& h, flip::FlipStack& origin_stack) {
+  const flip::Address origin = flip::process_address(0xF0);
+  int proposes = 0;
+  origin_stack.register_endpoint(
+      origin, [&](flip::Address, flip::Address, BufView bytes) {
+        const auto m = decode_wire(std::move(bytes));
+        if (m.has_value() && m->type == WireType::xshard_propose) ++proposes;
+      });
+  GroupMember& seq = h.process(0).member();
+  WireMsg w;
+  w.type = WireType::xshard_send;
+  w.incarnation = seq.info().incarnation;
+  w.sender = kInvalidMember;
+  w.addr = origin;
+  const std::uint64_t xid = (std::uint64_t{9} << 32) | 1;
+  origin_stack.send(seq.address(), origin,
+                    encode_xshard_send_wire(
+                        w, XShardSend{.xid = xid,
+                                      .mask = 0b1u,
+                                      .origin = 9,
+                                      .data = tagged(9, 1)}));
+  h.run_until([] { return false; }, Duration::millis(200));
+  w.type = WireType::xshard_commit;
+  origin_stack.send(seq.address(), origin,
+                    encode_xshard_commit_wire(
+                        w, XShardCommit{.xid = xid,
+                                        .mask = 0b1u,
+                                        .origin = 9,
+                                        .final_ts = 1,
+                                        .data = tagged(9, 1)}));
+  h.run_until([] { return false; }, Duration::seconds(1));
+  origin_stack.unregister_endpoint(origin);
+  return proposes;
+}
+
+TEST(NodeHosting, OnlyNodeHostedSequencersServeCrossShardFrames) {
+  // A bare member's sequencer ignores the xshard wire types: no proposal,
+  // nothing injected into its stream.
+  BareHarness bare(3, quick_cfg(), 5);
+  ASSERT_TRUE(bare.form_group());
+  EXPECT_EQ(feed_xshard_round(bare, bare.process(1).flip), 0);
+  const GroupStats& bs = bare.process(0).member().stats();
+  EXPECT_EQ(bs.xshard_proposals.load(), 0u);
+  EXPECT_EQ(bs.xshard_commits.load(), 0u);
+  EXPECT_EQ(bs.xshard_injected.load(), 0u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (const GroupMessage& m : bare.process(i).delivered) {
+      EXPECT_NE(m.kind, MessageKind::xshard) << "m" << i;
+    }
+  }
+
+  // Control: a one-shard Node hosting the same group proposes, and the
+  // commit enters every member's stream.
+  SimGroupHarness hosted(3, quick_cfg(), sim::CostModel::mc68030_ether10(), 5);
+  ASSERT_TRUE(hosted.form_group());
+  EXPECT_GE(feed_xshard_round(hosted, hosted.process(1).flip()), 1);
+  const GroupStats& hs = hosted.process(0).member().stats();
+  EXPECT_EQ(hs.xshard_proposals.load(), 1u);
+  EXPECT_EQ(hs.xshard_commits.load(), 1u);
+  EXPECT_EQ(hs.xshard_injected.load(), 1u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    int xshard = 0;
+    for (const auto& d : hosted.process(i).delivered()) {
+      if (d.kind == MessageKind::xshard) ++xshard;
+    }
+    EXPECT_EQ(xshard, 1) << "n" << i;
   }
 }
 

@@ -36,12 +36,18 @@
 namespace amoeba::group::prop {
 namespace {
 
+// CTest names each case with gtest's raw byte dump of its parameter.
+// `pad` and `tail_pad` take the place of the compiler's padding, so those
+// bytes are zero on every build instead of whatever the stack held.
 struct RestartParams {
   std::uint64_t seed{1};
   Method method{Method::pb};
+  std::uint8_t pad[3]{};
   std::uint32_t resilience{0};
   Durability durability{Durability::group_commit};
+  std::uint8_t tail_pad[7]{};
 };
+static_assert(std::has_unique_object_representations_v<RestartParams>);
 
 int pick_restart_scenario(const RestartParams& p) {
   std::uint64_t h = p.seed * 0x9E3779B97F4A7C15ULL;

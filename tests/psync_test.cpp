@@ -22,7 +22,7 @@ struct PsyncHarness {
   sim::World world;
   std::vector<std::unique_ptr<Proc>> procs;
 
-  explicit PsyncHarness(std::size_t n, PsyncConfig cfg = {}) : world(n) {
+  explicit PsyncHarness(std::size_t n) : world(n) {
     std::vector<flip::Address> ring;
     for (std::size_t i = 0; i < n; ++i) {
       ring.push_back(flip::process_address(i + 1));
@@ -32,7 +32,7 @@ struct PsyncHarness {
       auto* raw = p.get();
       p->member = std::make_unique<PsyncMember>(
           p->flip, p->exec, ring[i], flip::group_address(0xA5), ring,
-          static_cast<std::uint32_t>(i), cfg,
+          static_cast<std::uint32_t>(i),
           [raw](const PsyncMember::Delivery& d) {
             raw->delivered.push_back(d);
           });
@@ -95,10 +95,8 @@ TEST(Psync, TotalOrderAcrossConcurrentSenders) {
 TEST(Psync, LoneSenderNeedsEveryonesHeartbeat) {
   // The Section 2.2 argument in one number: with a single active sender,
   // total-order delivery waits for a message from EVERY member, i.e. the
-  // heartbeat interval — far worse than the sequencer's 2.7 ms.
-  PsyncConfig cfg;
-  cfg.heartbeat = Duration::millis(5);
-  PsyncHarness h(4, cfg);
+  // heartbeat interval (5 ms) — far worse than the sequencer's 2.7 ms.
+  PsyncHarness h(4);
   const Time start = h.world.now();
   h.procs[1]->member->send(make_pattern_buffer(10));
   ASSERT_TRUE(h.run_until(

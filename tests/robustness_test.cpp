@@ -4,6 +4,8 @@
 // nonsense upward.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hpp"
 #include "flip/packet.hpp"
 #include "group/message.hpp"
@@ -140,6 +142,46 @@ TEST(Robustness, OversizeAndZeroSizedSends) {
   ASSERT_TRUE(h.run_until([&] { return empty.has_value(); },
                           Duration::seconds(5)));
   EXPECT_EQ(*empty, Status::ok) << "0-byte messages are the paper's favourite";
+
+  // The boundary: FLIP carries 64 KiB including the 60-byte group header.
+  // The largest message is delivered everywhere under both methods; one
+  // byte more is refused at once and leaves the sender running.
+  constexpr std::size_t kMax = group::GroupMember::kMaxMessage;
+  static_assert(kMax == 64 * 1024 - 60);
+  for (const group::Method method : {group::Method::pb, group::Method::bb}) {
+    group::GroupConfig cfg;
+    cfg.method = method;
+    group::SimGroupHarness b(3, cfg);
+    ASSERT_TRUE(b.form_group());
+    group::GroupMember& sender = b.process(1).member();
+
+    std::optional<Status> over;
+    sender.send_to_group(Buffer(kMax + 1), [&](Status s) { over = s; });
+    ASSERT_TRUE(over.has_value());
+    EXPECT_EQ(*over, Status::overflow);
+    EXPECT_EQ(sender.state(), group::GroupMember::State::running);
+
+    std::optional<Status> max;
+    b.process(1).user_send(make_pattern_buffer(kMax),
+                           [&](Status s) { max = s; });
+    const auto delivered_everywhere = [&] {
+      for (std::size_t p = 0; p < 3; ++p) {
+        const auto& got = b.process(p).delivered();
+        if (std::none_of(got.begin(), got.end(), [&](const auto& d) {
+              return d.data.size() == kMax;
+            })) {
+          return false;
+        }
+      }
+      return true;
+    };
+    ASSERT_TRUE(b.run_until(
+        [&] { return max.has_value() && delivered_everywhere(); },
+        Duration::seconds(10)))
+        << "method " << static_cast<int>(method);
+    EXPECT_EQ(*max, Status::ok);
+    EXPECT_EQ(sender.state(), group::GroupMember::State::running);
+  }
 }
 
 TEST(Robustness, ApiMisuseReturnsErrorsNotUb) {

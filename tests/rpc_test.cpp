@@ -153,6 +153,29 @@ TEST_F(RpcFixture, OversizeCallRejectedImmediately) {
   });
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(*result, Status::overflow);
+
+  // The boundary: FLIP carries 64 KiB including the 32-byte RPC header.
+  // The largest request completes (echoed back); one byte more is refused
+  // before anything reaches the wire.
+  constexpr std::size_t kMax = RpcEndpoint::kMaxMessage;
+  static_assert(kMax == 64 * 1024 - 32);
+  server.rpc.set_request_handler([&](const RpcEndpoint::Request& req) {
+    server.rpc.reply(req, req.data);
+  });
+  std::optional<Result<Buffer>> largest;
+  client.rpc.call(sa, make_pattern_buffer(kMax),
+                  [&](Result<Buffer> r) { largest = std::move(r); });
+  world.engine().run();
+  ASSERT_TRUE(largest.has_value());
+  ASSERT_TRUE(largest->ok()) << static_cast<int>(largest->status());
+  EXPECT_EQ(largest->value().size(), kMax);
+
+  std::optional<Status> over;
+  client.rpc.call(sa, Buffer(kMax + 1),
+                  [&](Result<Buffer> r) { over = r.status(); });
+  ASSERT_TRUE(over.has_value());
+  EXPECT_EQ(*over, Status::overflow);
+  EXPECT_EQ(client.rpc.stats().calls_sent, 1u);
 }
 
 TEST_F(RpcFixture, ConcurrentCallsFromOneClient) {

@@ -157,7 +157,8 @@ void run_chaos_lifecycle(std::uint64_t seed, bool kernel_multicast) {
   for (std::size_t i = 1; i < kN; ++i) {
     senders.emplace_back([&, i] {
       for (int k = 0; k < kPerSender; ++k) {
-        // Alternate below/above bb_threshold: both broadcast methods.
+        // Alternate below/above the PB/BB switch point (1398 B): both
+        // broadcast methods.
         const std::size_t bytes = (k % 2 == 0) ? 16 : 2048;
         const Status s =
             procs[i]->grp.send_to_group(tagged(bytes, 0xA, i, k));
