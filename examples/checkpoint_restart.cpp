@@ -134,7 +134,7 @@ int main() {
   int acked = 0;
   for (int k = 0; k < 40; ++k) {
     net.process(static_cast<std::size_t>(k) % kReplicas)
-        .user_send(put_op("key" + std::to_string(k), "v" + std::to_string(k)),
+        .user_send(put_op("key" + std::to_string(k), 'v' + std::to_string(k)),
                    [&](Status s) {
                      if (s == Status::ok) ++acked;
                    });
@@ -161,7 +161,7 @@ int main() {
   int more = 0;
   for (int k = 40; k < 60; ++k) {
     net.process(static_cast<std::size_t>(k) % 2)
-        .user_send(put_op("key" + std::to_string(k), "v" + std::to_string(k)),
+        .user_send(put_op("key" + std::to_string(k), 'v' + std::to_string(k)),
                    [&](Status s) {
                      if (s == Status::ok) ++more;
                    });

@@ -25,6 +25,11 @@ bool check_pattern_buffer(std::span<const std::uint8_t> b, std::uint8_t seed) {
   return true;
 }
 
+void BufWriter::append(const void* p, std::size_t n) {
+  const auto* bytes = static_cast<const std::uint8_t*>(p);
+  buf_.insert(buf_.end(), bytes, bytes + n);
+}
+
 void BufWriter::patch_u32(std::size_t offset, std::uint32_t v) {
   if (offset + 4 > buf_.size()) return;
   for (std::size_t i = 0; i < 4; ++i) {

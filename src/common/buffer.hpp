@@ -312,7 +312,7 @@ class BufWriter {
 
   /// Raw bytes, no length prefix (use `bytes` for self-describing fields).
   void raw(std::span<const std::uint8_t> data) {
-    buf_.insert(buf_.end(), data.begin(), data.end());
+    append(data.data(), data.size());
   }
   /// u32 length prefix followed by the bytes.
   void bytes(std::span<const std::uint8_t> data) {
@@ -322,7 +322,7 @@ class BufWriter {
   /// u32 length prefix followed by UTF-8 bytes.
   void str(std::string_view s) {
     u32(static_cast<std::uint32_t>(s.size()));
-    buf_.insert(buf_.end(), s.begin(), s.end());
+    append(s.data(), s.size());
   }
 
   std::size_t size() const noexcept { return buf_.size(); }
@@ -335,10 +335,15 @@ class BufWriter {
  private:
   template <typename T>
   void append_le(T v) {
+    std::uint8_t le[sizeof(T)] = {};
     for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+      le[i] = static_cast<std::uint8_t>(v >> (8 * i));
     }
+    append(le, sizeof(T));
   }
+  /// Out of line: inlined into callers with constant sizes, vector growth
+  /// draws false overflow reports from GCC 12 at -O3.
+  void append(const void* p, std::size_t n);
 
   Buffer buf_;
 };

@@ -531,15 +531,12 @@ void GroupMember::dispatch(const flip::Address& src, WireMsg m) {
     case WireType::data_pb:
       if (i_am_sequencer()) seq_on_request(src, std::move(m), false);
       break;
-    case WireType::data_bb: {
-      // Everyone (sender included, via loopback) stashes the payload until
-      // the sequencer's accept names its sequence number.
-      if (bb_stash_.size() < cfg_.history_size * 2) {
-        bb_stash_[{m.sender, m.msg_id}] = m.payload;
+    case WireType::data_bb:
+      on_bb_payload(m);  // may deliver, and so change our membership
+      if (state_ == State::running && i_am_sequencer()) {
+        seq_on_request(src, std::move(m), true);
       }
-      if (i_am_sequencer()) seq_on_request(src, std::move(m), true);
       break;
-    }
     case WireType::seq_data:
     case WireType::retransmit:
       on_seq_data(m);
@@ -936,6 +933,37 @@ void GroupMember::on_seq_accept_range(const WireMsg& m) {
   }
 }
 
+void GroupMember::on_bb_payload(const WireMsg& m) {
+  // Everyone (sender included, via loopback) holds the payload until the
+  // sequencer's accept names its sequence number. No stash entry may
+  // outlive its message: a copy of a message already delivered (a late
+  // frame, a sender's retry) is dropped, and one whose accept overtook it
+  // goes straight into the accept's slot.
+  const auto mark = bb_delivered_.find(m.sender);
+  if (mark != bb_delivered_.end() && m.msg_id <= mark->second) return;
+  for (auto& [seq, p] : ooo_) {
+    if (p.sender != m.sender || p.msg_id != m.msg_id ||
+        p.kind != MessageKind::app) {
+      continue;
+    }
+    if (!p.have_data) {
+      p.data = m.payload;
+      p.have_data = true;
+      if (p.tentative) maybe_send_resil_ack(seq, p.sender);
+      drain_deliverable();
+    }
+    return;
+  }
+  if (bb_stash_.size() < cfg_.history_size * 2) {
+    bb_stash_[{m.sender, m.msg_id}] = m.payload;
+  }
+}
+
+void GroupMember::clear_bb_stash() {
+  bb_stash_.clear();
+  bb_delivered_.clear();
+}
+
 void GroupMember::maybe_send_resil_ack(SeqNum seq, MemberId sender) {
   // "if its member identifier is lower than r, it sends an
   // acknowledgement" — excluding the sending kernel, whose copy is
@@ -989,6 +1017,14 @@ void GroupMember::deliver(SeqNum seq, PendingMsg msg) {
 
   append_history(seq, msg);
   history_.back()->data = gm.data;  // share the payload with the app copy
+
+  if (gm.kind == MessageKind::app) {
+    // Per-sender FIFO: no payload of this sender at or below this msg_id
+    // is still needed.
+    bb_delivered_[gm.sender] = gm.sender_msg_id;
+    bb_stash_.erase(bb_stash_.lower_bound({gm.sender, 0}),
+                    bb_stash_.upper_bound({gm.sender, gm.sender_msg_id}));
+  }
 
   ++stats_.messages_delivered;
   GTRACE(deliver, .mkind = gm.kind, .peer = gm.sender, .seq = seq,
@@ -1241,6 +1277,9 @@ void GroupMember::apply_membership(const GroupMessage& msg) {
       last_status_horizon_.erase(change->member);
       pending_leaves_.erase(change->member);
       sender_state_.erase(change->member);
+      bb_delivered_.erase(change->member);
+      bb_stash_.erase(bb_stash_.lower_bound({change->member, 0}),
+                      bb_stash_.upper_bound({change->member, UINT32_MAX}));
       // A departed member's checkpoint ack must not pin (or count toward)
       // the group's compaction horizon.
       ckpt_acks_.erase(change->member);
@@ -1513,7 +1552,7 @@ void GroupMember::rejoin_group(StatusCb done) {
   gaddr_ = flip::Address{};
   members_.clear();
   ooo_.clear();
-  bb_stash_.clear();
+  clear_bb_stash();
   catchup_to_.reset();
   leaving_ = false;
   state_ = State::idle;

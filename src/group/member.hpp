@@ -172,6 +172,8 @@ class GroupMember {
   State state() const { return state_; }
   const GroupStats& stats() const { return stats_; }
   const GroupConfig& config() const { return cfg_; }
+  /// BB payloads waiting for the accept that names them.
+  std::size_t bb_stash_size() const { return bb_stash_.size(); }
 
   /// Protocol tracing: when set, every group message this member sends or
   /// has dispatched is reported (after decode, before handling). Costs
@@ -275,6 +277,10 @@ class GroupMember {
   /// frames would have produced (in seq order: data entries, then accepts).
   void on_seq_packed(const WireMsg& m);
   void on_seq_accept_range(const WireMsg& m);
+  /// A BB payload from the sender's own multicast: fill its accept's slot,
+  /// stash it until the accept comes, or drop it if already delivered.
+  void on_bb_payload(const WireMsg& m);
+  void clear_bb_stash();
   void maybe_send_resil_ack(SeqNum seq, MemberId sender);
   void drain_deliverable();
   void deliver(SeqNum seq, PendingMsg msg);
@@ -313,6 +319,9 @@ class GroupMember {
   // one packed frame once the batch fills or the CPU backlog drains.
   void seq_schedule_flush();
   void seq_flush_emit();
+  /// Emit accepts with no data frame to ride: one range frame per
+  /// consecutive run, a plain seq_accept for a run of one.
+  void seq_emit_accepts(std::vector<AcceptRec>& accepts);
   /// Emit anything still batched (role hand-off / recovery boundaries).
   void seq_drain_pending();
   void seq_cache_store(SeqNum seq, WireMsg meta, BufView frame, bool has_frame,
@@ -408,6 +417,10 @@ class GroupMember {
   SeqNum next_deliver_{0};
   std::map<SeqNum, PendingMsg> ooo_;
   std::map<std::pair<MemberId, std::uint32_t>, BufView> bb_stash_;
+  /// Per sender, the msg_id of its latest delivered app message. Per-sender
+  /// FIFO makes it a watermark: a BB payload at or below it is a late or
+  /// repeated copy, and no stash entry below it will ever be used.
+  std::map<MemberId, std::uint32_t> bb_delivered_;
   /// Contiguous delivered suffix; front has seq hist_base_. Ring-buffered
   /// so appends and trims are O(1) with no steady-state allocation. Sized
   /// with slack over cfg.history_size because system messages may overshoot

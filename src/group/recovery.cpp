@@ -471,7 +471,7 @@ void GroupMember::coord_finish() {
   for (auto it = ooo_.begin(); it != ooo_.end();) {
     it = seq_ge(it->first, r.target) ? ooo_.erase(it) : ++it;
   }
-  bb_stash_.clear();
+  clear_bb_stash();
   drain_deliverable();
   assert(next_deliver_ == r.target);
   next_assign_ = r.target;
@@ -559,7 +559,7 @@ void GroupMember::on_reset_result(const WireMsg& m) {
   state_ = State::running;
   tentative_.clear();
   sender_state_.clear();
-  bb_stash_.clear();
+  clear_bb_stash();
   handoff_issued_ = false;
   // We are not the new sequencer; drop any sequencer leftovers from the
   // old regime so a later takeover starts clean.

@@ -248,54 +248,23 @@ void GroupMember::seq_flush_emit() {
   const auto& costs = exec_.costs();
 
   if (batch.empty()) {
-    // Accepts only. Finalization order need not be contiguous (acks race),
-    // so sort and emit each consecutive run as one range frame; a run of
-    // one is the seed's plain seq_accept.
-    std::sort(accepts.begin(), accepts.end(),
-              [](const AcceptRec& x, const AcceptRec& y) {
-                return seq_lt(x.seq, y.seq);
-              });
-    std::size_t i = 0;
-    while (i < accepts.size()) {
-      std::size_t j = i + 1;
-      while (j < accepts.size() && accepts[j].seq == accepts[j - 1].seq + 1) {
-        ++j;
-      }
-      exec_.charge(costs.group_emit);
-      if (j - i == 1) {
-        const AcceptRec& a = accepts[i];
-        WireMsg acc;
-        acc.type = WireType::seq_accept;
-        acc.seq = a.seq;
-        acc.sender = a.sender;
-        acc.msg_id = a.msg_id;
-        acc.kind = a.kind;
-        acc.flags = a.flags;
-        acc.piggyback = next_deliver_;
-        multicast(std::move(acc));
-      } else {
-        WireMsg h;
-        h.type = WireType::seq_accept_range;
-        h.seq = accepts[i].seq;
-        h.range_from = accepts[i].seq;
-        h.range_count = static_cast<std::uint32_t>(j - i);
-        h.piggyback = next_deliver_;
-        ++stats_.accept_ranges_emitted;
-        multicast_accept_range(
-            h, std::span<const AcceptRec>(accepts).subspan(i, j - i));
-      }
-      i = j;
-    }
+    seq_emit_accepts(accepts);
     return;
   }
 
   // Data frames. The batch is consecutive in seq (stamped in arrival
   // order), so chunk greedily under the count/byte budgets; the first
   // frame carries every pending accept. An oversize message gets a frame
-  // of its own (the first entry of a chunk is always admitted).
+  // of its own (the first entry of a chunk is always admitted). When the
+  // accepts would push that first entry past FLIP's message limit, they
+  // follow the data on frames of their own instead.
+  const bool piggyback =
+      kWireHeaderBytes + 4 + (accepts.size() + 1) * kPackedEntryOverhead +
+          batch.front().payload.size() <=
+      flip::kMaxMessage;
   std::vector<PackedEntry> entries;
   std::size_t i = 0;
-  bool first = true;
+  bool first = piggyback;
   while (i < batch.size()) {
     std::size_t bytes = 4 + (first ? accepts.size() * kPackedEntryOverhead : 0);
     std::size_t j = i;
@@ -379,6 +348,49 @@ void GroupMember::seq_flush_emit() {
         seq_cache_store(e.seq, std::move(meta), frame, !e.accept_only,
                         (e.flags & kFlagTentative) != 0);
       }
+    }
+    i = j;
+  }
+  if (!piggyback) seq_emit_accepts(accepts);
+}
+
+void GroupMember::seq_emit_accepts(std::vector<AcceptRec>& accepts) {
+  const auto& costs = exec_.costs();
+  // Finalization order need not be contiguous (acks race), so sort and
+  // emit each consecutive run as one range frame; a run of one is the
+  // seed's plain seq_accept.
+  std::sort(accepts.begin(), accepts.end(),
+            [](const AcceptRec& x, const AcceptRec& y) {
+              return seq_lt(x.seq, y.seq);
+            });
+  std::size_t i = 0;
+  while (i < accepts.size()) {
+    std::size_t j = i + 1;
+    while (j < accepts.size() && accepts[j].seq == accepts[j - 1].seq + 1) {
+      ++j;
+    }
+    exec_.charge(costs.group_emit);
+    if (j - i == 1) {
+      const AcceptRec& a = accepts[i];
+      WireMsg acc;
+      acc.type = WireType::seq_accept;
+      acc.seq = a.seq;
+      acc.sender = a.sender;
+      acc.msg_id = a.msg_id;
+      acc.kind = a.kind;
+      acc.flags = a.flags;
+      acc.piggyback = next_deliver_;
+      multicast(std::move(acc));
+    } else {
+      WireMsg h;
+      h.type = WireType::seq_accept_range;
+      h.seq = accepts[i].seq;
+      h.range_from = accepts[i].seq;
+      h.range_count = static_cast<std::uint32_t>(j - i);
+      h.piggyback = next_deliver_;
+      ++stats_.accept_ranges_emitted;
+      multicast_accept_range(
+          h, std::span<const AcceptRec>(accepts).subspan(i, j - i));
     }
     i = j;
   }

@@ -134,9 +134,9 @@ SimProcess& SimGroupHarness::add_station(sim::Node& node) {
 }
 
 std::string SimGroupHarness::label(std::size_t i, std::uint32_t shard) const {
-  std::string l = "m" + std::to_string(i);
+  std::string l = 'm' + std::to_string(i);
   if (shards_ > 1) l += ".s" + std::to_string(shard);
-  if (const int r = restart_counts_.at(i); r > 0) l += "r" + std::to_string(r);
+  if (const int r = restart_counts_.at(i); r > 0) l += 'r' + std::to_string(r);
   return l;
 }
 

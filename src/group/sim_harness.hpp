@@ -172,7 +172,7 @@ class SimGroupHarness {
   std::string label(std::size_t i, std::uint32_t shard = 0) const;
   /// Collector label of process i's Node ring (sharded runs only).
   std::string node_label(std::size_t i) const {
-    return "n" + std::to_string(i);
+    return 'n' + std::to_string(i);
   }
 
   /// Crash process i with its disk (see SimProcess::crash_with_disk).

@@ -39,10 +39,10 @@ Result<RpcEndpoint::Request> BlockingRpc::get_request(
   return req;
 }
 
-void BlockingRpc::put_reply(const RpcEndpoint::Request& request,
-                            Buffer response) {
+Status BlockingRpc::put_reply(const RpcEndpoint::Request& request,
+                              Buffer response) {
   std::lock_guard lock(rt_.mutex());
-  rpc_.reply(request, std::move(response));
+  return rpc_.reply(request, std::move(response));
 }
 
 void BlockingRpc::forward(const RpcEndpoint::Request& request,

@@ -25,8 +25,9 @@ class BlockingRpc {
   Result<RpcEndpoint::Request> get_request(
       std::optional<Duration> timeout = std::nullopt);
 
-  /// putrep(): answer a request obtained from get_request().
-  void put_reply(const RpcEndpoint::Request& request, Buffer response);
+  /// putrep(): answer a request obtained from get_request(). An oversize
+  /// response is refused with Status::overflow (see RpcEndpoint::reply).
+  Status put_reply(const RpcEndpoint::Request& request, Buffer response);
 
   /// ForwardRequest (Table 1): pass the request to another server; its
   /// reply goes straight to the original client.

@@ -139,7 +139,8 @@ void RpcEndpoint::on_packet(flip::Address src, BufView bytes) {
       });
 }
 
-void RpcEndpoint::reply(const Request& request, Buffer response) {
+Status RpcEndpoint::reply(const Request& request, Buffer response) {
+  if (response.size() > kMaxMessage) return Status::overflow;
   const auto key = std::make_pair(request.client.id, request.xid);
   in_progress_.erase(key);
   CachedReply cached;
@@ -155,6 +156,7 @@ void RpcEndpoint::reply(const Request& request, Buffer response) {
              [this, client = request.client, pkt = std::move(pkt)]() mutable {
                flip_.send(client, my_addr_, std::move(pkt));
              });
+  return Status::ok;
 }
 
 void RpcEndpoint::forward(const Request& request, flip::Address other_server) {

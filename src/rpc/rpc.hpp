@@ -40,7 +40,8 @@ class RpcEndpoint {
  public:
   /// Encoded RPC header: the paper's 32-byte Amoeba user header.
   static constexpr std::size_t kHeaderBytes = 32;
-  /// Largest request call() accepts: FLIP's limit minus the RPC header.
+  /// Largest request call() or reply reply() accepts: FLIP's limit minus
+  /// the RPC header.
   static constexpr std::size_t kMaxMessage = flip::kMaxMessage - kHeaderBytes;
 
   /// Completion of a client call: the reply bytes, or a failure status
@@ -71,7 +72,9 @@ class RpcEndpoint {
   void set_request_handler(RequestHandler handler) {
     handler_ = std::move(handler);
   }
-  void reply(const Request& request, Buffer response);
+  /// A response over kMaxMessage is refused with Status::overflow: nothing
+  /// is sent and the request stays open, so the server may still answer it.
+  Status reply(const Request& request, Buffer response);
   void forward(const Request& request, flip::Address other_server);
 
   flip::Address address() const { return my_addr_; }

@@ -433,9 +433,8 @@ TEST(GroupWire, XShardSendRejectsMalformedInput) {
   }
   // A zero destination mask addresses nothing; reject it.
   ASSERT_GE(good->payload.size(), 16u);
-  Buffer nomask(good->payload.size());
-  std::memcpy(nomask.data(), good->payload.data(), good->payload.size());
-  std::memset(nomask.data() + 8, 0, 4);
+  Buffer nomask(good->payload.begin(), good->payload.end());
+  for (std::size_t k = 8; k < 12; ++k) nomask.at(k) = 0;
   EXPECT_FALSE(decode_xshard_send_payload(std::move(nomask), out));
 }
 
@@ -474,8 +473,8 @@ TEST(GroupWire, XShardProposeRejectsWrongLength) {
   }
   // ...and so is trailing garbage (exact-length check, not a prefix parse).
   ASSERT_EQ(good->payload.size(), 20u);
-  Buffer longer(good->payload.size() + 1);
-  std::memcpy(longer.data(), good->payload.data(), good->payload.size());
+  Buffer longer(good->payload.begin(), good->payload.end());
+  longer.push_back(0);
   EXPECT_FALSE(decode_xshard_propose_payload(std::move(longer), out));
 }
 
@@ -519,9 +518,8 @@ TEST(GroupWire, XShardCommitRejectsMalformedInput) {
   }
   // Zero mask rejected, as for xshard_send.
   ASSERT_GE(good->payload.size(), 24u);
-  Buffer nomask(good->payload.size());
-  std::memcpy(nomask.data(), good->payload.data(), good->payload.size());
-  std::memset(nomask.data() + 8, 0, 4);
+  Buffer nomask(good->payload.begin(), good->payload.end());
+  for (std::size_t k = 8; k < 12; ++k) nomask.at(k) = 0;
   EXPECT_FALSE(decode_xshard_commit_payload(std::move(nomask), out));
   // The whole frame still survives decode_wire with a truncated network
   // buffer rejected at the outer layer (header/payload length mismatch).

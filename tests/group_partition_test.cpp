@@ -59,7 +59,7 @@ struct PartitionFixture : ::testing::Test {
     for (std::size_t i = 0; i < 5; ++i) {
       procs.push_back(std::make_unique<SimProcess>(
           *nodes[i], flip::process_address(i + 1), cfg));
-      collector.attach("m" + std::to_string(i), &procs[i]->trace_ring());
+      collector.attach('m' + std::to_string(i), &procs[i]->trace_ring());
     }
     std::size_t formed = 0;
     procs[0]->member().create_group(gaddr, [&](Status s) {
@@ -220,10 +220,10 @@ TEST_F(PartitionFixture, MinorityRejoinsMajorityAfterHeal) {
       engine.schedule(Duration::millis(1), [&, p] {
         // The old member's ring dies with it; keep its history on file and
         // collect the fresh process under the same label.
-        collector.detach("m" + std::to_string(p));
+        collector.detach('m' + std::to_string(p));
         procs[p] = std::make_unique<SimProcess>(
             *nodes[p], flip::process_address(100 + p), GroupConfig{});
-        collector.attach("m" + std::to_string(p), &procs[p]->trace_ring());
+        collector.attach('m' + std::to_string(p), &procs[p]->trace_ring());
         procs[p]->member().join_group(gaddr, [&](Status s) {
           ASSERT_EQ(s, Status::ok);
           ++rejoined;

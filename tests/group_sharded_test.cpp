@@ -502,7 +502,7 @@ class BareHarness {
       procs_.push_back(std::make_unique<BareProcess>(
           world_.node(i), flip::process_address(i + 1), cfg,
           seed ^ (0x9E3779B97F4A7C15ULL * (i + 1))));
-      collector_.attach("m" + std::to_string(i), &procs_.back()->ring);
+      collector_.attach('m' + std::to_string(i), &procs_.back()->ring);
     }
   }
 

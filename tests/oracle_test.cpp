@@ -66,7 +66,7 @@ class Hist {
     return *this;
   }
   RingTrace take() {
-    return RingTrace{"m" + std::to_string(member_), nullptr,
+    return RingTrace{'m' + std::to_string(member_), nullptr,
                      std::move(events_)};
   }
 

@@ -178,6 +178,42 @@ TEST_F(RpcFixture, OversizeCallRejectedImmediately) {
   EXPECT_EQ(client.rpc.stats().calls_sent, 1u);
 }
 
+TEST_F(RpcFixture, OversizeReplyRefusedBeforeTheWire) {
+  // The reply side of the same boundary: a 65,504-byte response reaches
+  // the client; one byte more is refused at once and nothing is sent, so
+  // the request stays open and the server can still answer it.
+  constexpr std::size_t kMax = RpcEndpoint::kMaxMessage;
+  std::optional<Status> largest_sent, refused;
+  server.rpc.set_request_handler([&](const RpcEndpoint::Request& req) {
+    if (req.data.at(0) == 0) {
+      largest_sent = server.rpc.reply(req, make_pattern_buffer(kMax));
+      return;
+    }
+    refused = server.rpc.reply(req, Buffer(kMax + 1));
+    EXPECT_EQ(server.rpc.reply(req, Buffer{0x2A}), Status::ok);
+  });
+
+  std::optional<Result<Buffer>> largest;
+  client.rpc.call(sa, Buffer{0},
+                  [&](Result<Buffer> r) { largest = std::move(r); });
+  world.engine().run();
+  EXPECT_EQ(largest_sent, Status::ok);
+  ASSERT_TRUE(largest.has_value());
+  ASSERT_TRUE(largest->ok()) << static_cast<int>(largest->status());
+  EXPECT_EQ(largest->value().size(), kMax);
+  EXPECT_TRUE(check_pattern_buffer(largest->value()));
+
+  std::optional<Result<Buffer>> answered;
+  client.rpc.call(sa, Buffer{1},
+                  [&](Result<Buffer> r) { answered = std::move(r); });
+  world.engine().run();
+  EXPECT_EQ(refused, Status::overflow);
+  ASSERT_TRUE(answered.has_value());
+  ASSERT_TRUE(answered->ok()) << static_cast<int>(answered->status());
+  EXPECT_EQ(answered->value(), Buffer{0x2A});
+  EXPECT_EQ(client.rpc.stats().calls_sent, 2u);
+}
+
 TEST_F(RpcFixture, ConcurrentCallsFromOneClient) {
   server.rpc.set_request_handler([&](const RpcEndpoint::Request& req) {
     server.rpc.reply(req, req.data);

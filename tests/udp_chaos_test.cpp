@@ -96,7 +96,7 @@ void run_chaos_lifecycle(std::uint64_t seed, bool kernel_multicast) {
 
   check::TraceCollector collector;
   for (std::size_t i = 0; i < kN; ++i) {
-    collector.attach("m" + std::to_string(i), &procs[i]->ring);
+    collector.attach('m' + std::to_string(i), &procs[i]->ring);
   }
 
   const flip::Address gaddr = flip::group_address(0x7A);
