@@ -171,7 +171,8 @@ void PsyncMember::on_packet(BufView bytes) {
       const auto it = peer.ooo.find(peer.next_seq);
       if (it == peer.ooo.end()) break;
       peer.max_lamport = std::max(peer.max_lamport, it->second.lamport);
-      pending_.push_back(std::move(it->second));
+      pending_.emplace(std::pair{it->second.lamport, m.sender},
+                       std::move(it->second));
       peer.ooo.erase(it);
       ++peer.next_seq;
     }
@@ -210,30 +211,18 @@ void PsyncMember::arm_nack(std::uint32_t sender) {
 void PsyncMember::try_deliver() {
   // Total order: a pending message m is deliverable once every member has
   // been heard past t(m) — then nothing with a smaller stamp can appear.
-  // Deliver in (lamport, sender) order.
+  // Deliver in (lamport, sender) order: the order of pending_'s keys.
   while (!pending_.empty()) {
-    const auto min_it = std::min_element(
-        pending_.begin(), pending_.end(),
-        [](const Pending& a, const Pending& b) {
-          return std::tie(a.lamport, a.sender) < std::tie(b.lamport, b.sender);
-        });
-    bool stable = true;
+    const auto first = pending_.begin();
+    Pending& m = first->second;
     for (std::uint32_t p = 0; p < peers_.size(); ++p) {
-      if (p == min_it->sender) continue;
-      if (peers_[p].max_lamport <= min_it->lamport) {
-        stable = false;
-        break;
-      }
+      if (p != m.sender && peers_[p].max_lamport <= m.lamport) return;
     }
-    if (!stable) return;
-    if (!min_it->is_null) {
+    if (!m.is_null) {
       ++stats_.delivered;
-      if (deliver_) {
-        deliver_(Delivery{min_it->lamport, min_it->sender,
-                          std::move(min_it->data)});
-      }
+      if (deliver_) deliver_(Delivery{m.lamport, m.sender, std::move(m.data)});
     }
-    pending_.erase(min_it);
+    pending_.erase(first);
   }
 }
 

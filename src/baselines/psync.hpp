@@ -114,8 +114,10 @@ class PsyncMember {
   };
   std::vector<PeerState> peers_;
 
-  /// Causally-received, not yet totally-ordered messages.
-  std::vector<Pending> pending_;
+  /// Causally-received, not yet totally-ordered messages, in delivery
+  /// order: keyed by (lamport, sender), unique because a sender's stamps
+  /// strictly increase.
+  std::map<std::pair<std::uint64_t, std::uint32_t>, Pending> pending_;
   transport::TimerId heartbeat_timer_{transport::kInvalidTimer};
 };
 

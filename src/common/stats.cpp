@@ -1,7 +1,5 @@
 #include "common/stats.hpp"
 
-#include <cstdio>
-
 namespace amoeba {
 
 void Histogram::ensure_sorted() {
@@ -19,14 +17,6 @@ double Histogram::percentile(double p) {
   const auto hi = std::min(lo + 1, samples_.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
-}
-
-std::string Histogram::summary() {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "n=%zu mean=%.1f p50=%.1f p99=%.1f min=%.1f max=%.1f",
-                count(), mean(), percentile(50), percentile(99), min(), max());
-  return buf;
 }
 
 }  // namespace amoeba

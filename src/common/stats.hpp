@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "common/types.hpp"
@@ -65,9 +64,6 @@ class Histogram {
 
   /// Exact p-th percentile (p in [0,100]) via nearest-rank.
   double percentile(double p);
-
-  /// "mean=... p50=... p99=... max=..." one-liner for bench output.
-  std::string summary();
 
   void reset() {
     samples_.clear();

@@ -98,11 +98,6 @@ GroupInfo BlockingGroup::get_info() {
   return member_.info();
 }
 
-ViewChange BlockingGroup::last_view() {
-  std::unique_lock lock(rt_.mutex());
-  return view_;
-}
-
 bool BlockingGroup::failed() {
   std::unique_lock lock(rt_.mutex());
   return failed_;

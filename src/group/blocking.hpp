@@ -39,8 +39,6 @@ class BlockingGroup {
   Result<std::uint32_t> reset_group(std::uint32_t min_size);
   GroupInfo get_info();
 
-  /// Most recent view (updated by the loop thread).
-  ViewChange last_view();
   /// Whether the group has failed locally (sequencer unreachable, expelled).
   bool failed();
 

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 #include <memory>
 
 #include "common/logging.hpp"
@@ -80,15 +79,14 @@ GroupMember::GroupMember(flip::FlipStack& flip, transport::Executor& exec,
                           const MemberInfo* info = find_member(suspect);
                           if (info == nullptr) return;
                           // Its expulsion is already in the stream.
-                          if (pending_leaves_.count(suspect) > 0) return;
+                          if (seq_->pending_leaves.count(suspect) > 0) return;
                           MembershipChange c;
                           c.member = suspect;
                           c.address = info->address;
                           ++stats_.expels_issued;
                           seq_issue_membership(MessageKind::expel, c);
                         },
-                }),
-      frame_cache_(std::max<std::size_t>(1, config.history_size)) {
+                }) {
   detector_.configure(config.status_poll, config.status_retries);
   flip_.register_endpoint(my_addr_, [this](flip::Address src, flip::Address,
                                            BufView bytes) {
@@ -130,11 +128,9 @@ void GroupMember::create_group(flip::Address group, StatusCb done) {
   next_member_id_ = 1;
   members_ = {MemberInfo{my_id_, my_addr_}};
   next_deliver_ = cfg_.first_seq;
-  next_assign_ = cfg_.first_seq;
   hist_base_ = cfg_.first_seq;
-  horizon_.clear();
-  horizon_[my_id_] = cfg_.first_seq;
   state_ = State::running;
+  seq_take_role(false);
   flip_.join_group(gaddr_, [this](flip::Address src, flip::Address,
                                   BufView bytes) {
     on_group_packet(src, std::move(bytes));
@@ -253,6 +249,17 @@ void GroupMember::on_leave_timer() {
   send_leave_req();
 }
 
+void GroupMember::finish_leave() {
+  if (i_am_sequencer()) seq_drop_role();
+  leaving_ = false;
+  exec_.cancel_timer(join_timer_);
+  state_ = State::left;
+  flip_.leave_group(gaddr_);
+  auto done = std::move(leave_done_);
+  leave_done_ = nullptr;
+  if (done) done(Status::ok);
+}
+
 Status GroupMember::check_config() {
   if (const Status s = cfg_.normalize(); s != Status::ok) return s;
   if (cross_shard_) {
@@ -299,16 +306,15 @@ void GroupMember::install_view(bool from_recovery) {
   // A departed member's last heartbeat horizon must not linger: a stale
   // lagging entry would keep matching its next (never-arriving) heartbeat
   // and trigger spurious catch-up pushes toward a reused id.
-  std::erase_if(last_status_horizon_, [this](const auto& e) {
-    return find_member(e.first) == nullptr;
-  });
+  if (i_am_sequencer()) {
+    std::erase_if(seq_->last_status_horizon, [this](const auto& e) {
+      return find_member(e.first) == nullptr;
+    });
+  }
   GTRACE(view, .flags = from_recovery ? std::uint8_t{1} : std::uint8_t{0},
          .peer = seq_id_, .seq = next_deliver_,
          .msg_id = static_cast<std::uint32_t>(members_.size()),
          .a = view_hash(members_));
-  if (cross_shard_) {
-    xshard_note_role(state_ == State::running && my_id_ == seq_id_);
-  }
   if (cbs_.on_view) {
     ViewChange v;
     v.incarnation = inc_;
@@ -333,6 +339,10 @@ void GroupMember::install_view(bool from_recovery) {
 void GroupMember::enter_failed(Status why) {
   if (state_ == State::failed || state_ == State::left) return;
   state_ = State::failed;
+  // Discard (never flush) anything the sequencer still batched: recovery
+  // rebuilds from the delivered prefix, and a half-flushed tail would
+  // leave survivors with inconsistent views of where the stream stopped.
+  seq_drop_role();
   GTRACE(fail, .a = static_cast<std::uint64_t>(why));
   exec_.cancel_timer(status_timer_);
   status_timer_ = transport::kInvalidTimer;
@@ -345,16 +355,6 @@ void GroupMember::enter_failed(Status why) {
   // Deferred group-commit completions are still in outs_; the sweep below
   // finishes them with `why`.
   pending_durable_.clear();
-  detector_.reset();
-  // Discard (never flush) anything still batched: recovery rebuilds from
-  // the delivered prefix, and a half-flushed tail would leave survivors
-  // with inconsistent views of where the stream stopped.
-  batch_.clear();
-  pending_accepts_.clear();
-  batch_bytes_pending_ = 0;
-  frame_cache_.clear();
-  xshard_clear();
-  x_was_seq_ = false;
   auto outstanding = std::move(outs_);
   outs_.clear();
   for (Outgoing& o : outstanding) {
@@ -431,7 +431,6 @@ Duration GroupMember::dispatch_cost(const WireMsg& m) const {
 
 void GroupMember::send_to_sequencer(WireMsg m) {
   m.incarnation = inc_;
-  if (trace_) trace_(true, m, exec_.now());
   if (i_am_sequencer()) {
     // Local short-circuit through the same dispatch path (and the same
     // CPU cost) as a remote request.
@@ -447,13 +446,11 @@ void GroupMember::send_to_sequencer(WireMsg m) {
 
 void GroupMember::send_to_address(const flip::Address& to, WireMsg m) {
   m.incarnation = inc_;
-  if (trace_) trace_(true, m, exec_.now());
   flip_.send(to, my_addr_, encode_wire(m));
 }
 
 BufView GroupMember::multicast(WireMsg m) {
   m.incarnation = inc_;
-  if (trace_) trace_(true, m, exec_.now());
   BufView frame = encode_wire(m);
   flip_.send(gaddr_, my_addr_, frame);  // lvalue: +1 ref, frame survives
   return frame;
@@ -463,7 +460,6 @@ BufView GroupMember::multicast_packed(WireMsg header,
                                       std::span<const AcceptRec> accepts,
                                       std::span<const PackedEntry> entries) {
   header.incarnation = inc_;
-  if (trace_) trace_(true, header, exec_.now());
   BufView frame = encode_packed_wire(header, accepts, entries);
   flip_.send(gaddr_, my_addr_, frame);
   return frame;
@@ -472,14 +468,12 @@ BufView GroupMember::multicast_packed(WireMsg header,
 BufView GroupMember::multicast_accept_range(WireMsg header,
                                             std::span<const AcceptRec> recs) {
   header.incarnation = inc_;
-  if (trace_) trace_(true, header, exec_.now());
   BufView frame = encode_accept_range_wire(header, recs);
   flip_.send(gaddr_, my_addr_, frame);
   return frame;
 }
 
 void GroupMember::dispatch(const flip::Address& src, WireMsg m) {
-  if (trace_) trace_(false, m, exec_.now());
   if (m.type == WireType::retransmit) ++stats_.retransmits_received;
   // Incarnation fencing: recovery messages carry their own rules; all
   // regular traffic must match the current incarnation.
@@ -576,9 +570,9 @@ void GroupMember::dispatch(const flip::Address& src, WireMsg m) {
       // the same lagging horizon mean the member lost the tail of the
       // stream (nothing in flight will fill its gap): serve it. A single
       // lagging heartbeat is normal when traffic is in flight.
-      if (i_am_sequencer() && seq_lt(m.piggyback, next_assign_)) {
+      if (i_am_sequencer() && seq_lt(m.piggyback, seq_->next_assign)) {
         auto [it, inserted] =
-            last_status_horizon_.try_emplace(m.sender, m.piggyback);
+            seq_->last_status_horizon.try_emplace(m.sender, m.piggyback);
         if (!inserted && it->second == m.piggyback) {
           seq_catch_up(m.sender, m.piggyback);
         }
@@ -1034,7 +1028,7 @@ void GroupMember::deliver(SeqNum seq, PendingMsg msg) {
   if (log_active()) appended = log_append_delivery(gm);
 
   if (i_am_sequencer()) {
-    horizon_[my_id_] = next_deliver_;
+    seq_->horizon[my_id_] = next_deliver_;
     seq_trim_history();
   }
 
@@ -1132,13 +1126,7 @@ void GroupMember::fire_nack() {
     if (leaving_) {
       // We cannot catch up, and we were leaving anyway — the group has
       // almost certainly already removed us. Finish the leave locally.
-      leaving_ = false;
-      exec_.cancel_timer(join_timer_);
-      state_ = State::left;
-      flip_.leave_group(gaddr_);
-      auto done = std::move(leave_done_);
-      leave_done_ = nullptr;
-      if (done) done(Status::ok);
+      finish_leave();
       return;
     }
     enter_failed(Status::timeout);
@@ -1217,48 +1205,21 @@ void GroupMember::apply_membership(const GroupMessage& msg) {
         }
       }
       if (i_am_sequencer()) {
-        const auto pending = pending_joins_.find(change->address.id);
-        if (pending != pending_joins_.end()) {
+        const auto pending = seq_->pending_joins.find(change->address.id);
+        if (pending != seq_->pending_joins.end()) {
           seq_send_snapshot(change->member, change->address);
-          pending_joins_.erase(pending);
+          seq_->pending_joins.erase(pending);
         }
       }
       break;
     }
     case MessageKind::handoff: {
-      // The sequencer role moves; nobody departs. The group was drained
-      // before the hand-off was ordered, so the successor starts clean.
-      seq_id_ = change->new_sequencer;
-      if (seq_id_ == my_id_) {
-        next_assign_ = msg.seq + 1;
-        tentative_.clear();
-        sender_state_.clear();
-        horizon_.clear();
-        for (const MemberInfo& m : members_) horizon_[m.id] = msg.seq + 1;
-        hist_base_ = next_deliver_;
-        history_.clear();
-        fc_granted_.clear();
-        fc_queue_.clear();
-        // Heartbeat horizons and cached frames belong to the previous
-        // regime; a stale lagging entry must not trigger catch-up pushes.
-        last_status_horizon_.clear();
-        frame_cache_.clear();
-        batch_.clear();
-        pending_accepts_.clear();
-        batch_bytes_pending_ = 0;
-        // Compaction acks belong to the previous sequencer; members
-        // re-report their horizons on the next status exchange.
-        ckpt_acks_.clear();
-        announced_compaction_ = 0;
-        announced_any_ = false;
-        if (have_ckpt_) seq_note_ckpt_horizon(my_id_, my_ckpt_horizon_);
-      }
+      // The sequencer role moves; nobody departs.
+      pass_role(change->new_sequencer);
       if (change->member == my_id_) {
         // We were the old sequencer: the transfer is complete.
         leaving_ = false;
-        handoff_issued_ = false;
         transfer_to_.reset();
-        detector_.reset();
         auto done = std::move(transfer_done_);
         transfer_done_ = nullptr;
         if (done) done(Status::ok);
@@ -1272,20 +1233,21 @@ void GroupMember::apply_membership(const GroupMessage& msg) {
                                       return m.id == change->member;
                                     }),
                      members_.end());
-      horizon_.erase(change->member);
       detector_.forget(change->member);
-      last_status_horizon_.erase(change->member);
-      pending_leaves_.erase(change->member);
-      sender_state_.erase(change->member);
       bb_delivered_.erase(change->member);
       bb_stash_.erase(bb_stash_.lower_bound({change->member, 0}),
                       bb_stash_.upper_bound({change->member, UINT32_MAX}));
-      // A departed member's checkpoint ack must not pin (or count toward)
-      // the group's compaction horizon.
-      ckpt_acks_.erase(change->member);
-      // A departed member must not hold (or wait for) a flow-control slot.
       if (i_am_sequencer()) {
-        std::erase_if(fc_queue_, [&](const auto& e) {
+        Regime& r = *seq_;
+        r.horizon.erase(change->member);
+        r.last_status_horizon.erase(change->member);
+        r.pending_leaves.erase(change->member);
+        r.sender_state.erase(change->member);
+        // A departed member's checkpoint ack must not pin (or count
+        // toward) the group's compaction horizon, and it must not hold (or
+        // wait for) a flow-control slot.
+        r.ckpt_acks.erase(change->member);
+        std::erase_if(r.fc_queue, [&](const auto& e) {
           return e.first == change->member;
         });
         seq_release_fc_slot(change->member);
@@ -1296,13 +1258,7 @@ void GroupMember::apply_membership(const GroupMessage& msg) {
       while (departed_.size() > 32) departed_.erase(departed_.begin());
       if (change->member == my_id_) {
         if (msg.kind == MessageKind::leave && leaving_) {
-          leaving_ = false;
-          exec_.cancel_timer(join_timer_);
-          state_ = State::left;
-          flip_.leave_group(gaddr_);
-          auto done = std::move(leave_done_);
-          leave_done_ = nullptr;
-          if (done) done(Status::ok);
+          finish_leave();
         } else {
           // Expelled: the failure detector declared us dead while we were
           // alive (Section 2.1 allows this). We are out.
@@ -1311,33 +1267,13 @@ void GroupMember::apply_membership(const GroupMessage& msg) {
         return;
       }
       if (change->new_sequencer != kInvalidMember) {
-        seq_id_ = change->new_sequencer;
-        if (seq_id_ == my_id_) {
-          // Sequencer handoff: the departing sequencer drained the group
-          // first, so every member has everything; we start fresh.
-          next_assign_ = msg.seq + 1;
-          tentative_.clear();
-          sender_state_.clear();
-          horizon_.clear();
-          for (const MemberInfo& m : members_) horizon_[m.id] = msg.seq + 1;
-          hist_base_ = next_deliver_;
-          history_.clear();
-          fc_granted_.clear();
-          fc_queue_.clear();
-          last_status_horizon_.clear();
-          frame_cache_.clear();
-          batch_.clear();
-          pending_accepts_.clear();
-          batch_bytes_pending_ = 0;
-          ckpt_acks_.clear();
-          announced_compaction_ = 0;
-          announced_any_ = false;
-          if (have_ckpt_) seq_note_ckpt_horizon(my_id_, my_ckpt_horizon_);
-        }
+        // The departing sequencer drained the group first.
+        pass_role(change->new_sequencer);
       } else if (i_am_sequencer()) {
         // A member left: its horizon no longer constrains the history, and
         // tentative messages waiting on its ack can settle.
-        for (auto it = tentative_.begin(); it != tentative_.end();) {
+        std::map<SeqNum, Tentative>& tentative = seq_->tentative;
+        for (auto it = tentative.begin(); it != tentative.end();) {
           it->second.awaiting.erase(change->member);
           const SeqNum s = it->first;
           const bool ready = it->second.awaiting.empty();
@@ -1557,29 +1493,6 @@ void GroupMember::rejoin_group(StatusCb done) {
   leaving_ = false;
   state_ = State::idle;
   join_group(group, std::move(done));
-}
-
-std::string GroupMember::describe(const WireMsg& msg) {
-  static constexpr const char* kNames[] = {
-      "?",           "data_pb",      "data_bb",       "seq_data",
-      "seq_accept",  "resil_ack",    "nack",          "retransmit",
-      "status_req",  "status_rep",   "join_req",      "join_snapshot",
-      "leave_req",   "reset_invite", "reset_vote",    "reset_retrieve",
-      "reset_missing", "reset_result", "fc_rts",      "fc_cts",
-      "seq_packed",  "seq_accept_range", "ckpt_horizon",
-      "compaction_notice", "xshard_send", "xshard_propose", "xshard_commit",
-  };
-  const auto t = static_cast<std::size_t>(msg.type);
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "%s inc=%u from=%d seq=%u msg_id=%u piggy=%u%s%s len=%zu",
-                t < std::size(kNames) ? kNames[t] : "?", msg.incarnation,
-                msg.sender == kInvalidMember ? -1 : static_cast<int>(msg.sender),
-                msg.seq, msg.msg_id, msg.piggyback,
-                (msg.flags & kFlagTentative) != 0 ? " tentative" : "",
-                msg.kind != MessageKind::app ? " sys" : "",
-                msg.payload.size());
-  return buf;
 }
 
 }  // namespace amoeba::group

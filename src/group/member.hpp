@@ -19,9 +19,9 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <deque>
 #include <functional>
-#include <string>
 #include <map>
 #include <optional>
 #include <set>
@@ -175,13 +175,6 @@ class GroupMember {
   /// BB payloads waiting for the accept that names them.
   std::size_t bb_stash_size() const { return bb_stash_.size(); }
 
-  /// Protocol tracing: when set, every group message this member sends or
-  /// has dispatched is reported (after decode, before handling). Costs
-  /// nothing when unset. `outgoing` is true for messages we emit.
-  using TraceFn =
-      std::function<void(bool outgoing, const WireMsg& msg, Time at)>;
-  void set_trace(TraceFn fn) { trace_ = std::move(fn); }
-
   /// Structured event tracing (src/check): when a ring is attached, the
   /// protocol's semantic transitions (send/stamp/accept/deliver/view/...)
   /// are recorded for the ConformanceOracle. Null detaches. One
@@ -212,11 +205,11 @@ class GroupMember {
   /// segments below it.
   void note_checkpoint(SeqNum as_of);
 
-  /// Human-readable one-liner for a wire message (tracing, logs, tests).
-  static std::string describe(const WireMsg& msg);
   flip::Address address() const { return my_addr_; }
   bool i_am_sequencer() const {
-    return state_ == State::running && my_id_ == seq_id_;
+    const bool held = state_ == State::running && my_id_ == seq_id_;
+    assert(held == seq_.has_value());
+    return held;
   }
   /// Address of a member by id (RPC ForwardRequest uses this).
   std::optional<flip::Address> member_address(MemberId id) const;
@@ -303,11 +296,18 @@ class GroupMember {
   void emit_log_recovery_events(DurableLog& log);
 
   // --- Sequencer side ---------------------------------------------------------
-  struct Tentative {
-    PendingMsg msg;
-    std::set<MemberId> awaiting;  // acks still missing
-    Time created{};
-  };
+  /// Every change of role goes through these two. Taking the role builds a
+  /// fresh Regime: next_assign and every member's horizon start at
+  /// next_deliver_, the failure detector starts empty, our own checkpoint
+  /// horizon is noted and, unless the group was just created
+  /// (`from_predecessor` false), the cross-shard quarantine opens.
+  /// Dropping it destroys the Regime, empties the detector and cancels the
+  /// cross-shard release timer.
+  void seq_take_role(bool from_predecessor);
+  void seq_drop_role();
+  /// A delivered hand-off names `successor`: take the role with a clean
+  /// history if that is us, drop it if we held it.
+  void pass_role(MemberId successor);
   void seq_on_request(const flip::Address& src, WireMsg m, bool via_bb);
   /// Core assignment; returns false when the request was refused
   /// (draining or history full) — the caller must not advance FIFO state.
@@ -324,8 +324,7 @@ class GroupMember {
   void seq_emit_accepts(std::vector<AcceptRec>& accepts);
   /// Emit anything still batched (role hand-off / recovery boundaries).
   void seq_drain_pending();
-  void seq_cache_store(SeqNum seq, WireMsg meta, BufView frame, bool has_frame,
-                       bool tentative_form);
+  void seq_cache_store(SeqNum seq, BufView frame, bool tentative_form);
   void seq_tentative_sweep();
   void seq_catch_up(MemberId member, SeqNum from);
   void seq_on_nack(const WireMsg& m);
@@ -357,11 +356,6 @@ class GroupMember {
   /// ordinary total order and re-arms the release timer while blocked.
   void xshard_try_release();
   void xshard_schedule_release();
-  /// Role-boundary bookkeeping, called from install_view / enter_failed:
-  /// clears pending state on role loss and opens the post-acquisition
-  /// quarantine window on role gain (see docs/PROTOCOL.md).
-  void xshard_note_role(bool am_seq_now);
-  void xshard_clear();
 
   // --- Membership / views -------------------------------------------------------
   /// cfg_.normalize() plus the checks a Node-hosted member adds.
@@ -374,6 +368,8 @@ class GroupMember {
   void on_join_timer();
   void send_leave_req();  // and arm its retry
   void on_leave_timer();
+  /// Our own departure is complete (or the group dissolved with us).
+  void finish_leave();
   void check_sequencer_handoff();
 
   // --- Recovery (recovery.cpp) ----------------------------------------------
@@ -402,7 +398,6 @@ class GroupMember {
   bool cross_shard_;
   Callbacks cbs_;
   GroupStats stats_;
-  TraceFn trace_;
   check::TraceRing* trace_ring_{nullptr};
 
   State state_{State::idle};
@@ -472,10 +467,14 @@ class GroupMember {
   std::optional<MemberId> transfer_to_;  // set: hand off, do not depart
   StatusCb transfer_done_;
 
-  // Sequencer.
-  SeqNum next_assign_{0};
-  std::map<SeqNum, Tentative> tentative_;
-  std::map<MemberId, SeqNum> horizon_;  // per-member delivered prefix
+  // Sequencer. What only the sequencer keeps lives in one Regime, built
+  // when this member takes the role (CreateGroup, hand-off, ResetGroup) and
+  // destroyed when the role goes, so no state outlives its regime.
+  struct Tentative {
+    PendingMsg msg;
+    std::set<MemberId> awaiting;  // acks still missing
+    Time created{};
+  };
   /// Per-sender sequencing state: enforces FIFO across pipelined sends
   /// (requests sequenced strictly in msg_id order, gaps buffered) and
   /// remembers recent assignments for duplicate suppression.
@@ -486,34 +485,7 @@ class GroupMember {
     /// Recently assigned msg_id -> seq (bounded; newest last).
     std::map<std::uint32_t, SeqNum> recent;
   };
-  std::map<MemberId, SenderState> sender_state_;
-  std::map<std::uint64_t, MemberId> pending_joins_;  // addr.id -> assigned id
-  /// Recently departed members still catching up to their own leave/expel
-  /// event: id -> (address, first seq they no longer receive). The
-  /// sequencer serves their NACKs below that bound so a lagging leaver can
-  /// reach its departure point (bounded; stale entries are evicted).
-  std::map<MemberId, std::pair<flip::Address, SeqNum>> departed_;
-  /// Flow-control slots (extension, Section 4's open problem): members
-  /// currently cleared to transmit a large message, and those waiting.
-  std::set<MemberId> fc_granted_;
-  std::deque<std::pair<MemberId, std::uint32_t>> fc_queue_;
-  /// The unreliable failure detector (its own module — the Section 5
-  /// lesson). Suspects are fed by history pressure; probes are
-  /// status_reqs; death is an ordered expel.
-  FailureDetector detector_;
-  /// Horizon reported by each member's previous idle heartbeat; a repeat
-  /// of the same lagging value means the member is stuck, not just behind
-  /// in-flight traffic.
-  std::map<MemberId, SeqNum> last_status_horizon_;
-  std::set<MemberId> pending_leaves_;
-  bool handoff_issued_{false};
-  transport::TimerId tentative_sweep_timer_{transport::kInvalidTimer};
-
-  // Sequencer batching. Stamped-but-not-yet-multicast messages and pending
-  // accepts; flushed inline when the batch fills (or a system message needs
-  // immediate emission) and otherwise by a zero-delay event that lands
-  // after the CPU backlog — so batching adds no latency when the sequencer
-  // is idle and packs exactly the backlog when it is busy.
+  /// A stamped message not yet multicast (see Regime::batch).
   struct PendingStamp {
     SeqNum seq{0};
     MemberId sender{kInvalidMember};
@@ -523,25 +495,92 @@ class GroupMember {
     bool accept_only{false};   // BB: payload travelled with the multicast
     BufView payload;
   };
-  std::vector<PendingStamp> batch_;
-  std::size_t batch_bytes_pending_{0};
-  std::vector<AcceptRec> pending_accepts_;
-  bool flush_scheduled_{false};
-
-  /// O(1) retransmit cache: the exact pre-encoded wire frame for each
-  /// history seq, aligned with the history window (cache_base_ = seq of
-  /// slot 0). Serving a NACK is an index plus a resend — zero re-encodes.
-  /// `meta` feeds the trace hook; entries without a frame (BB accept-only)
-  /// or whose cached form is stale (tentative frame after finalization)
-  /// fall back to the encoding path, which refreshes the cache.
+  /// One retransmit-cache slot. An empty frame (BB accept-only entries)
+  /// and a stale cached form (tentative frame after finalization) fall
+  /// back to the encoding path, which refreshes the slot.
   struct CachedFrame {
-    WireMsg meta;
     BufView frame;
-    bool has_frame{false};
     bool tentative_form{false};
   };
-  RingBuffer<CachedFrame> frame_cache_;
-  SeqNum cache_base_{0};
+  /// A cross-shard message this shard has proposed a timestamp for, or
+  /// whose commit it holds (xshard.cpp walks through the protocol).
+  struct XPending {
+    std::uint64_t xid{0};
+    std::uint64_t proposed{0};  // our timestamp proposal
+    std::uint64_t final_ts{0};  // agreed max (committed only)
+    bool committed{false};
+    std::uint32_t mask{0};
+    flip::Address reply_to;  // origin node endpoint (re-propose target)
+    BufView payload;         // commit payload (committed entries only)
+    Time created{};          // admission time (uncommitted expiry)
+  };
+  struct Regime {
+    explicit Regime(std::size_t history_size)
+        : frame_cache(std::max<std::size_t>(1, history_size)) {}
+    SeqNum next_assign{0};
+    std::map<SeqNum, Tentative> tentative;
+    std::map<MemberId, SeqNum> horizon;  // per-member delivered prefix
+    std::map<MemberId, SenderState> sender_state;
+    std::map<std::uint64_t, MemberId> pending_joins;  // addr.id -> assigned id
+    /// Leaves and expels already in the stream but not yet delivered.
+    std::set<MemberId> pending_leaves;
+    /// Flow-control slots (extension, Section 4's open problem): members
+    /// currently cleared to transmit a large message, and those waiting.
+    std::set<MemberId> fc_granted;
+    std::deque<std::pair<MemberId, std::uint32_t>> fc_queue;
+    /// Horizon reported by each member's previous idle heartbeat; a repeat
+    /// of the same lagging value means the member is stuck, not just
+    /// behind in-flight traffic.
+    std::map<MemberId, SeqNum> last_status_horizon;
+    bool handoff_issued{false};
+    /// Batching. Stamped-but-not-yet-multicast messages and pending
+    /// accepts; flushed inline when the batch fills (or a system message
+    /// needs immediate emission) and otherwise by a zero-delay event that
+    /// lands after the CPU backlog — so batching adds no latency when the
+    /// sequencer is idle and packs exactly the backlog when it is busy.
+    std::vector<PendingStamp> batch;
+    std::size_t batch_bytes_pending{0};
+    std::vector<AcceptRec> pending_accepts;
+    /// O(1) retransmit cache: the exact pre-encoded wire frame for each
+    /// history seq, aligned with the history window (cache_base = seq of
+    /// slot 0). Serving a NACK is an index plus a resend — zero re-encodes.
+    RingBuffer<CachedFrame> frame_cache;
+    SeqNum cache_base{0};
+    /// The cache slot for `seq`; null outside the cached window.
+    CachedFrame* cached(SeqNum seq) {
+      const auto n = static_cast<SeqNum>(frame_cache.size());
+      if (frame_cache.empty() || !seq_ge(seq, cache_base) ||
+          !seq_lt(seq, cache_base + n)) {
+        return nullptr;
+      }
+      return &frame_cache.at(seq - cache_base);
+    }
+    /// Per-member checkpoint horizons. Entries for departed members are
+    /// erased in apply_membership — a stale ack must never pin (or falsely
+    /// advance) the group's compaction horizon.
+    std::map<MemberId, SeqNum> ckpt_acks;
+    SeqNum announced_compaction{0};
+    bool announced_any{false};
+    /// Cross-shard messages by xid (EXTENSION: sharded Node layer;
+    /// followers see committed messages as ordinary stream entries).
+    std::map<std::uint64_t, XPending> xpending;
+    /// No cross-shard releases before this instant, so origin retries can
+    /// repopulate the pending table a predecessor lost.
+    Time xquarantine_until{};
+  };
+  /// Engaged exactly while i_am_sequencer() holds (asserted in Debug).
+  std::optional<Regime> seq_;
+  /// Recently departed members still catching up to their own leave/expel
+  /// event: id -> (address, first seq they no longer receive). The
+  /// sequencer serves their NACKs below that bound so a lagging leaver can
+  /// reach its departure point (bounded; stale entries are evicted).
+  std::map<MemberId, std::pair<flip::Address, SeqNum>> departed_;
+  /// The unreliable failure detector (its own module — the Section 5
+  /// lesson). Suspects are fed by history pressure; probes are
+  /// status_reqs; death is an ordered expel.
+  FailureDetector detector_;
+  transport::TimerId tentative_sweep_timer_{transport::kInvalidTimer};
+  bool flush_scheduled_{false};
 
   // Recovery.
   struct Recovery {
@@ -565,30 +604,13 @@ class GroupMember {
   /// must outbid every earlier attempt.
   Incarnation max_inc_seen_{0};
 
-  // Cross-shard atomic multicast (EXTENSION: sharded Node layer; sequencer
-  // role only — followers see committed messages as ordinary stream
-  // entries). See xshard.cpp for the protocol walk-through.
-  struct XPending {
-    std::uint64_t xid{0};
-    std::uint64_t proposed{0};  // our timestamp proposal
-    std::uint64_t final_ts{0};  // agreed max (committed only)
-    bool committed{false};
-    std::uint32_t mask{0};
-    flip::Address reply_to;  // origin node endpoint (re-propose target)
-    BufView payload;         // commit payload (committed entries only)
-    Time created{};          // admission time (uncommitted expiry)
-  };
-  std::map<std::uint64_t, XPending> xpending_;  // by xid
+  // Cross-shard atomic multicast (EXTENSION: sharded Node layer).
   /// Lamport-style shard clock: max(own proposals, observed finals).
   std::uint64_t xclock_{0};
   /// xids already injected into the stream (bounded FIFO memory so a
   /// re-sent commit after the injection is answered, not re-ordered).
   std::set<std::uint64_t> xreleased_;
   std::deque<std::uint64_t> xreleased_fifo_;
-  /// Post-role-acquisition hold: no releases before this instant, so
-  /// origin retries can repopulate the pending table a predecessor lost.
-  Time xquarantine_until_{};
-  bool x_was_seq_{false};
   transport::TimerId xrelease_timer_{transport::kInvalidTimer};
 
   // Durable log (EXTENSION: ROADMAP item 4). Owned by the embedder (test
@@ -608,12 +630,6 @@ class GroupMember {
   /// Our own latest checkpoint horizon (acked to the sequencer).
   SeqNum my_ckpt_horizon_{0};
   bool have_ckpt_{false};
-  // Sequencer: per-member checkpoint horizons. Entries for departed
-  // members are erased in apply_membership — a stale ack must never pin
-  // (or falsely advance) the group's compaction horizon.
-  std::map<MemberId, SeqNum> ckpt_acks_;
-  SeqNum announced_compaction_{0};
-  bool announced_any_{false};
 };
 
 }  // namespace amoeba::group

@@ -322,11 +322,4 @@ void Node::note_xdeliver(Shard& sh, const GroupMessage& gm, std::uint64_t xid,
 #endif
 }
 
-std::uint64_t Node::sum_shard_stat(
-    const std::function<std::uint64_t(const GroupStats&)>& get) const {
-  std::uint64_t sum = 0;
-  for (const auto& [tag, sh] : shards_) sum += get(sh.member->stats());
-  return sum;
-}
-
 }  // namespace amoeba::group

@@ -108,9 +108,6 @@ class Node {
   const NodeStats& stats() const { return stats_; }
   std::uint32_t node_id() const { return node_id_; }
   flip::Address address() const { return addr_; }
-  /// Sum of one counter across hosted shards (aggregated stats view).
-  std::uint64_t sum_shard_stat(
-      const std::function<std::uint64_t(const GroupStats&)>& get) const;
 
  private:
   struct Shard {

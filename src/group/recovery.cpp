@@ -73,9 +73,10 @@ void GroupMember::reset_group(std::uint32_t min_size, ResetCb done) {
   // If we are still the running sequencer, emit anything stamped but not
   // yet multicast: our vote must describe a stream whose tail was actually
   // offered to the group, or recovery would rebuild short of seqs we
-  // already promised to senders.
-  if (state_ == State::running && i_am_sequencer()) seq_drain_pending();
-  detector_.reset();
+  // already promised to senders. Then the regime ends: whoever concludes
+  // the reset builds a new one.
+  if (i_am_sequencer()) seq_drain_pending();
+  seq_drop_role();
   exec_.cancel_timer(nack_timer_);
   nack_timer_ = transport::kInvalidTimer;
   for (Outgoing& o : outs_) exec_.cancel_timer(o.timer);
@@ -175,7 +176,6 @@ void GroupMember::on_reset_invite(const flip::Address&, const WireMsg& m) {
     recovery_->votes.clear();
   } else {
     ++stats_.resets_started;
-    detector_.reset();
     exec_.cancel_timer(nack_timer_);
     nack_timer_ = transport::kInvalidTimer;
     for (Outgoing& o : outs_) exec_.cancel_timer(o.timer);
@@ -188,7 +188,8 @@ void GroupMember::on_reset_invite(const flip::Address&, const WireMsg& m) {
   }
   // Same drain as reset_group: a still-running sequencer flushes its
   // batch before yielding into a voter.
-  if (state_ == State::running && i_am_sequencer()) seq_drain_pending();
+  if (i_am_sequencer()) seq_drain_pending();
+  seq_drop_role();
   state_ = State::recovering;
   GTRACE_AT_INC(reset_start, recovery_->incarnation,
                 .peer = recovery_->coord_id);
@@ -407,41 +408,20 @@ void GroupMember::coord_finish() {
   recovery_.reset();
   exec_.cancel_timer(r.timer);
 
-  // Become the sequencer of the rebuilt group.
+  // Become the sequencer of the rebuilt group, with each survivor's
+  // horizon where its vote put it.
   inc_ = r.incarnation;
   seq_id_ = my_id_;
   members_.clear();
-  horizon_.clear();
   for (const auto& [id, v] : r.votes) {
     members_.push_back(MemberInfo{id, v.address});
-    horizon_[id] = v.next_deliver;
     next_member_id_ = std::max(next_member_id_, id + 1);
   }
   std::sort(members_.begin(), members_.end(),
             [](const MemberInfo& a, const MemberInfo& b) { return a.id < b.id; });
-  tentative_.clear();
-  sender_state_.clear();
-  pending_joins_.clear();
-  pending_leaves_.clear();
-  detector_.reset();
-  fc_granted_.clear();
-  fc_queue_.clear();
-  handoff_issued_ = false;
-  // Previous-regime sequencer leftovers: heartbeat horizons, pre-encoded
-  // frames, and any batch we (or the old sequencer) never flushed are all
-  // meaningless under the new incarnation.
-  last_status_horizon_.clear();
-  frame_cache_.clear();
-  batch_.clear();
-  pending_accepts_.clear();
-  batch_bytes_pending_ = 0;
-  // Compaction acks are per-regime: members re-report on the next status
-  // exchange (and we re-note our own checkpoint below).
-  ckpt_acks_.clear();
-  announced_compaction_ = 0;
-  announced_any_ = false;
   state_ = State::running;
-  if (have_ckpt_) seq_note_ckpt_horizon(my_id_, my_ckpt_horizon_);
+  seq_take_role(true);
+  for (const auto& [id, v] : r.votes) seq_->horizon[id] = v.next_deliver;
 
   // Promote the rebuilt stream: everything in [next_deliver_, target) is
   // now accepted; deliver it locally in order.
@@ -474,16 +454,19 @@ void GroupMember::coord_finish() {
   clear_bb_stash();
   drain_deliverable();
   assert(next_deliver_ == r.target);
-  next_assign_ = r.target;
-
-  // Prime duplicate suppression from the recovered history so a survivor
-  // re-sending its in-flight message does not get it ordered twice.
-  for (std::size_t i = 0; i < history_.size(); ++i) {
-    const GroupMessage& h = history_.at(i);
-    if (h.kind == MessageKind::app && h.sender != kInvalidMember) {
-      SenderState& ss = sender_state_[h.sender];
-      ss.recent.emplace(h.sender_msg_id, h.seq);
-      ss.expected = std::max(ss.expected, h.sender_msg_id + 1);
+  // A coordinator that lagged behind a hand-off delivers it just now, and
+  // pass_role has then moved the role (and its regime) on.
+  if (i_am_sequencer()) {
+    seq_->next_assign = r.target;
+    // Prime duplicate suppression from the recovered history so a survivor
+    // re-sending its in-flight message does not get it ordered twice.
+    for (std::size_t i = 0; i < history_.size(); ++i) {
+      const GroupMessage& h = history_.at(i);
+      if (h.kind == MessageKind::app && h.sender != kInvalidMember) {
+        SenderState& ss = seq_->sender_state[h.sender];
+        ss.recent.emplace(h.sender_msg_id, h.seq);
+        ss.expected = std::max(ss.expected, h.sender_msg_id + 1);
+      }
     }
   }
 
@@ -557,17 +540,7 @@ void GroupMember::on_reset_result(const WireMsg& m) {
             [](const MemberInfo& a, const MemberInfo& b) { return a.id < b.id; });
   next_member_id_ = snap->next_member_id;
   state_ = State::running;
-  tentative_.clear();
-  sender_state_.clear();
   clear_bb_stash();
-  handoff_issued_ = false;
-  // We are not the new sequencer; drop any sequencer leftovers from the
-  // old regime so a later takeover starts clean.
-  last_status_horizon_.clear();
-  frame_cache_.clear();
-  batch_.clear();
-  pending_accepts_.clear();
-  batch_bytes_pending_ = 0;
 
   // The rebuilt stream ends (exclusively) at next_seq: promote what we
   // buffered below it, discard what was above it, and NACK the rest from

@@ -28,6 +28,44 @@ constexpr std::size_t kPackedEntryOverhead = 14;
 constexpr std::size_t kBatchBytes = 1338;
 }  // namespace
 
+void GroupMember::seq_take_role(bool from_predecessor) {
+  seq_.emplace(cfg_.history_size);
+  seq_->next_assign = next_deliver_;
+  for (const MemberInfo& m : members_) seq_->horizon[m.id] = next_deliver_;
+  detector_.reset();
+  // Members re-report their checkpoint horizons on the next status
+  // exchange; ours we know.
+  if (have_ckpt_) seq_note_ckpt_horizon(my_id_, my_ckpt_horizon_);
+  if (cross_shard_ && from_predecessor) {
+    // The predecessor's cross-shard pending table died with its regime:
+    // hold releases until origin retries have repopulated ours.
+    seq_->xquarantine_until = exec_.now() + kXShardRetry * 4;
+    ++stats_.xshard_quarantines;
+    xshard_schedule_release();
+  }
+}
+
+void GroupMember::seq_drop_role() {
+  seq_.reset();
+  detector_.reset();
+  exec_.cancel_timer(xrelease_timer_);
+  xrelease_timer_ = transport::kInvalidTimer;
+}
+
+void GroupMember::pass_role(MemberId successor) {
+  const bool held = i_am_sequencer();
+  seq_id_ = successor;
+  if (successor == my_id_) {
+    // The old sequencer drained the group before handing off, so every
+    // member has everything: we start with a clean history.
+    hist_base_ = next_deliver_;
+    history_.clear();
+    seq_take_role(true);
+  } else if (held) {
+    seq_drop_role();
+  }
+}
+
 void GroupMember::seq_on_request(const flip::Address&, WireMsg m,
                                  bool via_bb) {
   seq_note_horizon(m.sender, m.piggyback);
@@ -40,7 +78,7 @@ void GroupMember::seq_on_request(const flip::Address&, WireMsg m,
   // Per-sender FIFO: requests are sequenced strictly in msg_id order so
   // pipelined sends (max_outstanding > 1) keep the paper's FIFO-total
   // ordering; duplicates are answered from the recent-assignment map.
-  SenderState& ss = sender_state_[m.sender];
+  SenderState& ss = seq_->sender_state[m.sender];
   if (m.range_from > ss.expected) {
     // The sender's whole pipeline starts past our expectation: everything
     // below its window base completed under a previous sequencer (or was
@@ -83,14 +121,14 @@ void GroupMember::seq_on_request(const flip::Address&, WireMsg m,
 bool GroupMember::seq_assign(MemberId sender, std::uint32_t msg_id,
                              MessageKind kind, BufView data, bool via_bb) {
   const bool app = kind == MessageKind::app;
-  if (app && (handoff_issued_ || leaving_)) {
+  if (app && (seq_->handoff_issued || leaving_)) {
     // Draining for a hand-off (leave or transfer): refuse new work so the
     // group can quiesce; the sender's retry reaches the next sequencer.
     return false;
   }
-  // Capacity: the span of undiscarded messages (next_assign_ - hist_base_)
+  // Capacity: the span of undiscarded messages (next_assign - hist_base_)
   // covers delivered history, tentatives, and in-flight local loopbacks.
-  const auto span = static_cast<std::size_t>(next_assign_ - hist_base_);
+  const auto span = static_cast<std::size_t>(seq_->next_assign - hist_base_);
   if (app && span >= cfg_.history_size) {
     // No room: drop the request; the sender's retransmission timer owns
     // recovery. This is the overload behaviour behind Figure 4's
@@ -101,9 +139,9 @@ bool GroupMember::seq_assign(MemberId sender, std::uint32_t msg_id,
     return false;
   }
 
-  const SeqNum s = next_assign_++;
+  const SeqNum s = seq_->next_assign++;
   if (app && sender != kInvalidMember) {
-    SenderState& ss = sender_state_[sender];
+    SenderState& ss = seq_->sender_state[sender];
     ss.recent.emplace(msg_id, s);
     while (ss.recent.size() > 32) ss.recent.erase(ss.recent.begin());
     // Flow control: sequencing the message releases its transmission slot.
@@ -141,7 +179,7 @@ bool GroupMember::seq_assign(MemberId sender, std::uint32_t msg_id,
     t.awaiting = resil_ackers(sender);
     t.created = exec_.now();
     none_needed = t.awaiting.empty();
-    tentative_.emplace(s, std::move(t));
+    seq_->tentative.emplace(s, std::move(t));
     if (tentative_sweep_timer_ == transport::kInvalidTimer) {
       tentative_sweep_timer_ = exec_.set_timer(
           cfg_.send_retry / 2, [this] { seq_tentative_sweep(); });
@@ -149,14 +187,14 @@ bool GroupMember::seq_assign(MemberId sender, std::uint32_t msg_id,
     ps.flags = kFlagTentative;
   }
   if (!via_bb) ps.payload = std::move(data);
-  batch_bytes_pending_ += kPackedEntryOverhead + ps.payload.size();
-  batch_.push_back(std::move(ps));
+  seq_->batch_bytes_pending += kPackedEntryOverhead + ps.payload.size();
+  seq_->batch.push_back(std::move(ps));
   // Resilience satisfied immediately (no acker ranks below r): the final
   // accept rides the same frame as the tentative entry.
   if (none_needed) seq_finalize(s);
 
-  if (!app || batch_.size() >= cfg_.batch_count ||
-      batch_bytes_pending_ >= kBatchBytes) {
+  if (!app || seq_->batch.size() >= cfg_.batch_count ||
+      seq_->batch_bytes_pending >= kBatchBytes) {
     seq_flush_emit();  // membership events and full batches go out now
   } else {
     seq_schedule_flush();
@@ -176,10 +214,10 @@ std::set<MemberId> GroupMember::resil_ackers(MemberId sender) const {
   // the local dispatch path (no wire traffic, but real processing).
   std::set<MemberId> eligible;
   for (const MemberInfo& m : members_) {
-    // A member whose leave/expel is already sequenced (pending_leaves_)
+    // A member whose leave/expel is already sequenced (pending_leaves)
     // will never ack again; picking it would wedge the message until the
     // change delivers — which itself sits behind the wedge.
-    if (m.id != sender && pending_leaves_.count(m.id) == 0) {
+    if (m.id != sender && seq_->pending_leaves.count(m.id) == 0) {
       eligible.insert(m.id);
     }
   }
@@ -192,17 +230,17 @@ std::set<MemberId> GroupMember::resil_ackers(MemberId sender) const {
 }
 
 void GroupMember::seq_on_resil_ack(const WireMsg& m) {
-  const auto it = tentative_.find(m.seq);
-  if (it == tentative_.end()) return;
+  const auto it = seq_->tentative.find(m.seq);
+  if (it == seq_->tentative.end()) return;
   it->second.awaiting.erase(m.sender);
   if (it->second.awaiting.empty()) seq_finalize(m.seq);
 }
 
 void GroupMember::seq_finalize(SeqNum seq) {
-  const auto it = tentative_.find(seq);
-  if (it == tentative_.end()) return;
+  const auto it = seq_->tentative.find(seq);
+  if (it == seq_->tentative.end()) return;
   Tentative t = std::move(it->second);
-  tentative_.erase(it);
+  seq_->tentative.erase(it);
   // The short accept: members (and our own loopback) may now deliver. It
   // piggybacks on the next packed data frame when one is pending;
   // otherwise consecutive accepts coalesce into one seq_accept_range.
@@ -212,7 +250,7 @@ void GroupMember::seq_finalize(SeqNum seq) {
   a.msg_id = t.msg.msg_id;
   a.kind = t.msg.kind;
   a.flags = 0;
-  pending_accepts_.push_back(a);
+  seq_->pending_accepts.push_back(a);
   seq_schedule_flush();
 }
 
@@ -234,17 +272,17 @@ void GroupMember::seq_schedule_flush() {
 }
 
 void GroupMember::seq_drain_pending() {
-  if (batch_.empty() && pending_accepts_.empty()) return;
+  if (seq_->batch.empty() && seq_->pending_accepts.empty()) return;
   seq_flush_emit();
 }
 
 void GroupMember::seq_flush_emit() {
-  if (batch_.empty() && pending_accepts_.empty()) return;
-  std::vector<PendingStamp> batch = std::move(batch_);
-  batch_.clear();
-  std::vector<AcceptRec> accepts = std::move(pending_accepts_);
-  pending_accepts_.clear();
-  batch_bytes_pending_ = 0;
+  if (seq_->batch.empty() && seq_->pending_accepts.empty()) return;
+  std::vector<PendingStamp> batch = std::move(seq_->batch);
+  seq_->batch.clear();
+  std::vector<AcceptRec> accepts = std::move(seq_->pending_accepts);
+  seq_->pending_accepts.clear();
+  seq_->batch_bytes_pending = 0;
   const auto& costs = exec_.costs();
 
   if (batch.empty()) {
@@ -284,13 +322,6 @@ void GroupMember::seq_flush_emit() {
       // Singleton with nothing to piggyback: emit the seed's unbatched
       // wire frame, bit-identical to batch_count = 1.
       PendingStamp& e = batch[i];
-      WireMsg meta;
-      meta.type = WireType::retransmit;
-      meta.seq = e.seq;
-      meta.sender = e.sender;
-      meta.msg_id = e.msg_id;
-      meta.kind = e.kind;
-      meta.flags = e.flags;
       WireMsg bc;
       bc.seq = e.seq;
       bc.sender = e.sender;
@@ -298,18 +329,16 @@ void GroupMember::seq_flush_emit() {
       bc.kind = e.kind;
       bc.flags = e.flags;
       bc.piggyback = next_deliver_;
-      BufView frame;
       if (e.accept_only) {
         bc.type = WireType::seq_accept;
-        frame = multicast(std::move(bc));
+        multicast(std::move(bc));
         // No payload in the frame: NACKs for this seq take the encoding
         // fallback (which caches the full retransmit it builds).
-        seq_cache_store(e.seq, std::move(meta), BufView(), false, false);
+        seq_cache_store(e.seq, BufView(), false);
       } else {
         bc.type = WireType::seq_data;
         bc.payload = std::move(e.payload);
-        frame = multicast(std::move(bc));
-        seq_cache_store(e.seq, std::move(meta), std::move(frame), true,
+        seq_cache_store(e.seq, multicast(std::move(bc)),
                         (e.flags & kFlagTentative) != 0);
       }
     } else {
@@ -336,16 +365,9 @@ void GroupMember::seq_flush_emit() {
       BufView frame = multicast_packed(h, frame_accepts, entries);
       for (std::size_t k = i; k < j; ++k) {
         const PendingStamp& e = batch[k];
-        WireMsg meta;
-        meta.type = WireType::retransmit;
-        meta.seq = e.seq;
-        meta.sender = e.sender;
-        meta.msg_id = e.msg_id;
-        meta.kind = e.kind;
-        meta.flags = e.flags;
-        // Accept-only entries carry no payload, so the cached frame
-        // cannot serve a member that missed the BB data itself.
-        seq_cache_store(e.seq, std::move(meta), frame, !e.accept_only,
+        // Accept-only entries carry no payload, so the packed frame cannot
+        // serve a member that missed the BB data itself.
+        seq_cache_store(e.seq, e.accept_only ? BufView() : frame,
                         (e.flags & kFlagTentative) != 0);
       }
     }
@@ -396,37 +418,32 @@ void GroupMember::seq_emit_accepts(std::vector<AcceptRec>& accepts) {
   }
 }
 
-void GroupMember::seq_cache_store(SeqNum seq, WireMsg meta, BufView frame,
-                                  bool has_frame, bool tentative_form) {
+void GroupMember::seq_cache_store(SeqNum seq, BufView frame,
+                                  bool tentative_form) {
   // The cache mirrors a contiguous run of broadcast seqs; any
   // discontinuity (role takeover, recovery) restarts it at `seq`.
-  if (frame_cache_.empty()) {
-    cache_base_ = seq;
-  } else if (seq !=
-             cache_base_ + static_cast<SeqNum>(frame_cache_.size())) {
-    frame_cache_.clear();
-    cache_base_ = seq;
+  RingBuffer<CachedFrame>& cache = seq_->frame_cache;
+  if (cache.empty()) {
+    seq_->cache_base = seq;
+  } else if (seq != seq_->cache_base + static_cast<SeqNum>(cache.size())) {
+    cache.clear();
+    seq_->cache_base = seq;
   }
-  if (frame_cache_.full()) {
-    frame_cache_.try_pop();
-    ++cache_base_;
+  if (cache.full()) {
+    cache.try_pop();
+    ++seq_->cache_base;
   }
-  CachedFrame e;
-  e.meta = std::move(meta);
-  e.frame = std::move(frame);
-  e.has_frame = has_frame;
-  e.tentative_form = tentative_form;
-  frame_cache_.try_push(std::move(e));
+  cache.try_push(CachedFrame{std::move(frame), tentative_form});
 }
 
 void GroupMember::seq_tentative_sweep() {
   tentative_sweep_timer_ = transport::kInvalidTimer;
-  if (!i_am_sequencer() || tentative_.empty()) return;
+  if (!i_am_sequencer() || seq_->tentative.empty()) return;
   // A lost tentative broadcast or a lost acknowledgement would otherwise
   // stall the message forever: re-offer stale tentatives to the members
   // whose acks are still missing (they re-ack on duplicate tentatives).
   const Time now = exec_.now();
-  for (const auto& [seq, t] : tentative_) {
+  for (const auto& [seq, t] : seq_->tentative) {
     if (now - t.created < cfg_.send_retry / 2) continue;
     for (const MemberId m : t.awaiting) {
       seq_serve_retransmit(m, seq);
@@ -448,7 +465,7 @@ void GroupMember::seq_catch_up(MemberId member, SeqNum from) {
   // the missing messages; duplicates are harmless.
   std::uint32_t served = 0;
   for (SeqNum s = from;
-       seq_lt(s, next_assign_) && served < nack_limit(); ++s, ++served) {
+       seq_lt(s, seq_->next_assign) && served < nack_limit(); ++s, ++served) {
     seq_serve_retransmit(member, s);
   }
 }
@@ -480,19 +497,15 @@ void GroupMember::seq_serve_retransmit(MemberId to, SeqNum seq) {
   // tentative; after finalization it would re-offer a tentative the
   // requester could never resolve, so fall through to the encoding path
   // (which refreshes the cache with the final form).
-  if (!frame_cache_.empty() && seq_ge(seq, cache_base_) &&
-      seq_lt(seq, cache_base_ + static_cast<SeqNum>(frame_cache_.size()))) {
-    const CachedFrame& e = frame_cache_.at(seq - cache_base_);
-    if (e.has_frame &&
-        (!e.tentative_form || tentative_.count(seq) > 0)) {
-      ++stats_.retransmits_served;
-      ++stats_.retransmit_cache_hits;
-      GTRACE(retransmit, .peer = to, .seq = seq);
-      if (to == my_id_) return;  // we obviously have it
-      if (trace_) trace_(true, e.meta, exec_.now());
-      flip_.send(target, my_addr_, e.frame);  // lvalue: frame stays cached
-      return;
-    }
+  if (const CachedFrame* e = seq_->cached(seq);
+      e != nullptr && !e->frame.empty() &&
+      (!e->tentative_form || seq_->tentative.count(seq) > 0)) {
+    ++stats_.retransmits_served;
+    ++stats_.retransmit_cache_hits;
+    GTRACE(retransmit, .peer = to, .seq = seq);
+    if (to == my_id_) return;  // we obviously have it
+    flip_.send(target, my_addr_, e->frame);  // lvalue: frame stays cached
+    return;
   }
 
   WireMsg m;
@@ -500,7 +513,7 @@ void GroupMember::seq_serve_retransmit(MemberId to, SeqNum seq) {
   m.seq = seq;
   m.piggyback = next_deliver_;
 
-  if (const auto t = tentative_.find(seq); t != tentative_.end()) {
+  if (const auto t = seq_->tentative.find(seq); t != seq_->tentative.end()) {
     m.sender = t->second.msg.sender;
     m.msg_id = t->second.msg.msg_id;
     m.kind = t->second.msg.kind;
@@ -539,38 +552,33 @@ void GroupMember::seq_serve_retransmit(MemberId to, SeqNum seq) {
   if (to == my_id_) return;  // we obviously have it
   ++stats_.retransmit_payload_encodes;
   m.incarnation = inc_;
-  if (trace_) trace_(true, m, exec_.now());
   const bool final_form = (m.flags & kFlagTentative) == 0;
   BufView frame = encode_wire(m);
-  if (final_form && !frame_cache_.empty() && seq_ge(seq, cache_base_) &&
-      seq_lt(seq, cache_base_ + static_cast<SeqNum>(frame_cache_.size()))) {
+  CachedFrame* slot = seq_->cached(seq);
+  if (final_form && slot != nullptr) {
     // Refresh: subsequent NACKs for this seq hit the cache with the final
     // form (the common case after a finalized tentative or a BB accept).
-    CachedFrame& slot = frame_cache_.at(seq - cache_base_);
-    slot.meta = m;
-    slot.frame = frame;
-    slot.has_frame = true;
-    slot.tentative_form = false;
+    *slot = CachedFrame{frame, false};
   }
   flip_.send(target, my_addr_, std::move(frame));
 }
 
 void GroupMember::seq_note_horizon(MemberId member, SeqNum piggyback) {
   if (!i_am_sequencer() || member == kInvalidMember) return;
-  auto [it, inserted] = horizon_.try_emplace(member, piggyback);
+  auto [it, inserted] = seq_->horizon.try_emplace(member, piggyback);
   if (!inserted) {
     if (seq_le(piggyback, it->second)) return;
     it->second = piggyback;
   }
   detector_.clear(member);  // it answered; not a laggard
   seq_trim_history();
-  if (leaving_ && !handoff_issued_) check_sequencer_handoff();
+  if (leaving_ && !seq_->handoff_issued) check_sequencer_handoff();
 }
 
 void GroupMember::seq_note_ckpt_horizon(MemberId member, SeqNum as_of) {
   if (!i_am_sequencer() || member == kInvalidMember) return;
   if (find_member(member) == nullptr) return;  // departed / stale
-  auto [it, inserted] = ckpt_acks_.try_emplace(member, as_of);
+  auto [it, inserted] = seq_->ckpt_acks.try_emplace(member, as_of);
   if (!inserted) {
     if (seq_le(as_of, it->second)) return;  // horizons only advance
     it->second = as_of;
@@ -586,14 +594,14 @@ void GroupMember::seq_maybe_announce_compaction() {
   SeqNum min_h = 0;
   bool first = true;
   for (const MemberInfo& m : members_) {
-    const auto it = ckpt_acks_.find(m.id);
-    if (it == ckpt_acks_.end()) return;
+    const auto it = seq_->ckpt_acks.find(m.id);
+    if (it == seq_->ckpt_acks.end()) return;
     min_h = first ? it->second : seq_min(min_h, it->second);
     first = false;
   }
-  if (announced_any_ && seq_le(min_h, announced_compaction_)) return;
-  announced_compaction_ = min_h;
-  announced_any_ = true;
+  if (seq_->announced_any && seq_le(min_h, seq_->announced_compaction)) return;
+  seq_->announced_compaction = min_h;
+  seq_->announced_any = true;
   WireMsg m;
   m.type = WireType::compaction_notice;
   m.sender = my_id_;
@@ -611,16 +619,16 @@ void GroupMember::seq_trim_history() {
   // everyone delivered it, nobody can NACK it, and (for recovery) every
   // survivor already applied it.
   SeqNum min_h = next_deliver_;
-  for (const auto& [id, h] : horizon_) min_h = seq_min(min_h, h);
+  for (const auto& [id, h] : seq_->horizon) min_h = seq_min(min_h, h);
   while (!history_.empty() && seq_lt(hist_base_, min_h)) {
     history_.try_pop();
     ++hist_base_;
   }
   // The retransmit cache follows the history window: below min_h nobody
   // can NACK.
-  while (!frame_cache_.empty() && seq_lt(cache_base_, min_h)) {
-    frame_cache_.try_pop();
-    ++cache_base_;
+  while (!seq_->frame_cache.empty() && seq_lt(seq_->cache_base, min_h)) {
+    seq_->frame_cache.try_pop();
+    ++seq_->cache_base;
   }
 }
 
@@ -629,8 +637,8 @@ void GroupMember::seq_check_laggards() {
 
   // Who is holding the history back?
   MemberId laggard = kInvalidMember;
-  SeqNum min_h = next_assign_;
-  for (const auto& [id, h] : horizon_) {
+  SeqNum min_h = seq_->next_assign;
+  for (const auto& [id, h] : seq_->horizon) {
     if (id == my_id_) continue;
     if (seq_lt(h, min_h)) {
       min_h = h;
@@ -652,11 +660,11 @@ void GroupMember::seq_issue_membership(MessageKind kind,
     // change delivers: the leave/expel itself is sequenced after any
     // wedged tentative, so waiting for delivery would deadlock. Scrub it
     // from every pending tentative (finalizing any now satisfied) and —
-    // via pending_leaves_, cleared when the change applies — from the
+    // via pending_leaves, cleared when the change applies — from the
     // acker choice for messages stamped in the interim.
-    pending_leaves_.insert(change.member);
+    seq_->pending_leaves.insert(change.member);
     std::vector<SeqNum> ready;
-    for (auto& [seq, t] : tentative_) {
+    for (auto& [seq, t] : seq_->tentative) {
       if (t.awaiting.erase(change.member) > 0 && t.awaiting.empty()) {
         ready.push_back(seq);
       }
@@ -677,18 +685,18 @@ void GroupMember::seq_on_join(const WireMsg& m) {
     seq_send_snapshot(existing->id, joiner);
     return;
   }
-  if (pending_joins_.count(joiner.id) > 0) return;  // join in flight
+  if (seq_->pending_joins.count(joiner.id) > 0) return;  // join in flight
 
   const MemberId id = next_member_id_++;
-  pending_joins_[joiner.id] = id;
+  seq_->pending_joins[joiner.id] = id;
   MembershipChange c;
   c.member = id;
   c.address = joiner;
-  const SeqNum join_seq = next_assign_;  // the seq the join will get
+  const SeqNum join_seq = seq_->next_assign;  // the seq the join will get
   seq_issue_membership(MessageKind::join, c);
   // The joiner delivers from just past its own join event; pin the history
   // there until it reports progress.
-  horizon_[id] = join_seq + 1;
+  seq_->horizon[id] = join_seq + 1;
 }
 
 void GroupMember::seq_send_snapshot(MemberId to_id, const flip::Address& to) {
@@ -697,8 +705,8 @@ void GroupMember::seq_send_snapshot(MemberId to_id, const flip::Address& to) {
   s.your_id = to_id;
   s.sequencer = my_id_;
   s.next_member_id = next_member_id_;
-  const auto h = horizon_.find(to_id);
-  s.next_seq = h != horizon_.end() ? h->second : next_assign_;
+  const auto h = seq_->horizon.find(to_id);
+  s.next_seq = h != seq_->horizon.end() ? h->second : seq_->next_assign;
   s.members = members_;
   WireMsg m;
   m.type = WireType::join_snapshot;
@@ -710,7 +718,7 @@ void GroupMember::seq_send_snapshot(MemberId to_id, const flip::Address& to) {
 void GroupMember::seq_on_leave(const WireMsg& m) {
   const MemberId who = m.sender;
   if (find_member(who) == nullptr) return;      // already gone
-  if (!pending_leaves_.insert(who).second) return;  // leave in flight
+  if (!seq_->pending_leaves.insert(who).second) return;  // leave in flight
   const MemberInfo* info = find_member(who);
   MembershipChange c;
   c.member = who;
@@ -741,18 +749,18 @@ void GroupMember::transfer_sequencer(MemberId to, StatusCb done) {
 
 void GroupMember::seq_on_rts(const WireMsg& m) {
   if (find_member(m.sender) == nullptr) return;
-  if (fc_granted_.count(m.sender) > 0) {
+  if (seq_->fc_granted.count(m.sender) > 0) {
     seq_send_cts(m.sender, m.msg_id);  // CTS was lost: re-grant
     return;
   }
-  for (const auto& [member, msg_id] : fc_queue_) {
+  for (const auto& [member, msg_id] : seq_->fc_queue) {
     if (member == m.sender) return;  // already waiting
   }
-  if (fc_granted_.size() < static_cast<std::size_t>(cfg_.fc_slots)) {
-    fc_granted_.insert(m.sender);
+  if (seq_->fc_granted.size() < static_cast<std::size_t>(cfg_.fc_slots)) {
+    seq_->fc_granted.insert(m.sender);
     seq_send_cts(m.sender, m.msg_id);
   } else {
-    fc_queue_.emplace_back(m.sender, m.msg_id);
+    seq_->fc_queue.emplace_back(m.sender, m.msg_id);
   }
 }
 
@@ -768,41 +776,35 @@ void GroupMember::seq_send_cts(MemberId to, std::uint32_t msg_id) {
 }
 
 void GroupMember::seq_release_fc_slot(MemberId member) {
-  if (fc_granted_.erase(member) > 0) seq_grant_next_fc();
+  if (seq_->fc_granted.erase(member) > 0) seq_grant_next_fc();
 }
 
 void GroupMember::seq_grant_next_fc() {
-  while (fc_granted_.size() < static_cast<std::size_t>(cfg_.fc_slots) &&
-         !fc_queue_.empty()) {
-    const auto [member, msg_id] = fc_queue_.front();
-    fc_queue_.pop_front();
+  while (seq_->fc_granted.size() < static_cast<std::size_t>(cfg_.fc_slots) &&
+         !seq_->fc_queue.empty()) {
+    const auto [member, msg_id] = seq_->fc_queue.front();
+    seq_->fc_queue.pop_front();
     if (find_member(member) == nullptr) continue;  // departed while queued
-    fc_granted_.insert(member);
+    seq_->fc_granted.insert(member);
     seq_send_cts(member, msg_id);
   }
 }
 
 void GroupMember::check_sequencer_handoff() {
-  if (!leaving_ || !i_am_sequencer() || handoff_issued_) return;
+  if (!leaving_ || !i_am_sequencer() || seq_->handoff_issued) return;
 
   if (members_.size() == 1 && !transfer_to_.has_value()) {
-    // Last member out: the group dissolves.
-    leaving_ = false;
-    state_ = State::left;
-    flip_.leave_group(gaddr_);
-    auto done = std::move(leave_done_);
-    leave_done_ = nullptr;
-    if (done) done(Status::ok);
+    finish_leave();  // last member out: the group dissolves
     return;
   }
 
   // Hand off only when the group is drained: everything assigned has been
   // delivered everywhere, so the successor can start with a clean history.
-  if (!tentative_.empty() || !outs_.empty()) return;
-  if (next_deliver_ != next_assign_) return;
+  if (!seq_->tentative.empty() || !outs_.empty()) return;
+  if (next_deliver_ != seq_->next_assign) return;
   for (const MemberInfo& m : members_) {
-    const auto h = horizon_.find(m.id);
-    if (h == horizon_.end() || seq_lt(h->second, next_assign_)) {
+    const auto h = seq_->horizon.find(m.id);
+    if (h == seq_->horizon.end() || seq_lt(h->second, seq_->next_assign)) {
       // Prod the stragglers.
       if (m.id != my_id_) {
         WireMsg req;
@@ -835,7 +837,7 @@ void GroupMember::check_sequencer_handoff() {
       }
     }
   }
-  handoff_issued_ = true;
+  seq_->handoff_issued = true;
   MembershipChange c;
   c.member = my_id_;
   c.address = my_addr_;

@@ -26,16 +26,19 @@
 // that both deliver two messages therefore deliver them in the same
 // relative order: both order by the same global (final, xid) key.
 //
-// Failure handling. A sequencer that acquires the role after a reset or
-// hand-off has lost the pending table. Two mechanisms repair it:
+// Failure handling. The pending table belongs to the sequencer's regime,
+// so a sequencer that takes the role by hand-off or ResetGroup starts
+// with an empty one — a ResetGroup it coordinates itself included. Two
+// mechanisms repair it:
 //   - a commit for an unknown xid re-enters directly as a committed
 //     pending (the commit carries everything needed), and the shard clock
 //     advances to max(clock, final) so later proposals sort after it;
-//   - a *quarantine* window (kXShardRetry * 4) after every role
-//     acquisition holds all releases while accepting sends and commits, so
-//     the origins' retry cadence repopulates the table before any ordering
-//     decision is taken. Without it, a pre-reset commit racing a fully
-//     post-reset round could release out of (final, xid) order.
+//   - a *quarantine* window (kXShardRetry * 4) opened by every regime not
+//     created by CreateGroup (seq_take_role) holds all releases while
+//     accepting sends and commits, so the origins' retry cadence
+//     repopulates the table before any ordering decision is taken. Without
+//     it, a pre-reset commit racing a fully post-reset round could release
+//     out of (final, xid) order.
 // Uncommitted pendings whose origin has evidently died (no commit after
 // kXShardRetry * xshard_retries * 2) are expired so they cannot block the
 // shard forever; docs/PROTOCOL.md discusses the residual window this
@@ -58,7 +61,7 @@ void GroupMember::seq_on_xshard_send(const WireMsg& m) {
   if (!decode_xshard_send_payload(m.payload, x)) return;
   if ((x.mask & (1u << group_tag_)) == 0) return;  // not for this shard
   if (xreleased_.count(x.xid) != 0) return;  // already in the stream
-  auto [it, inserted] = xpending_.try_emplace(x.xid);
+  auto [it, inserted] = seq_->xpending.try_emplace(x.xid);
   XPending& p = it->second;
   if (inserted) {
     p.xid = x.xid;
@@ -75,7 +78,6 @@ void GroupMember::seq_on_xshard_send(const WireMsg& m) {
   rep.type = WireType::xshard_propose;
   rep.incarnation = inc_;
   rep.sender = kInvalidMember;  // not a member's delivery horizon
-  if (trace_) trace_(true, rep, exec_.now());
   XShardPropose pr;
   pr.xid = p.xid;
   pr.shard = group_tag_;
@@ -89,7 +91,7 @@ void GroupMember::seq_on_xshard_commit(const WireMsg& m) {
   if ((x.mask & (1u << group_tag_)) == 0) return;
   ++stats_.xshard_commits;
   if (xreleased_.count(x.xid) != 0) return;  // duplicate after injection
-  auto [it, inserted] = xpending_.try_emplace(x.xid);
+  auto [it, inserted] = seq_->xpending.try_emplace(x.xid);
   XPending& p = it->second;
   if (inserted) {
     // Unknown xid: our predecessor held the proposal and lost it with the
@@ -114,7 +116,7 @@ void GroupMember::seq_on_xshard_commit(const WireMsg& m) {
 void GroupMember::xshard_try_release() {
   if (!cross_shard_ || !i_am_sequencer()) return;
   const Time now = exec_.now();
-  if (now < xquarantine_until_) {
+  if (now < seq_->xquarantine_until) {
     // Role freshly acquired: hold ordering decisions until origin retries
     // have had time to repopulate the pending table.
     xshard_schedule_release();
@@ -124,10 +126,10 @@ void GroupMember::xshard_try_release() {
   // would have retried the send or delivered the commit long ago).
   const Duration expiry =
       kXShardRetry * static_cast<std::int64_t>(cfg_.xshard_retries) * 2;
-  for (auto it = xpending_.begin(); it != xpending_.end();) {
+  for (auto it = seq_->xpending.begin(); it != seq_->xpending.end();) {
     if (!it->second.committed && now - it->second.created > expiry) {
       ++stats_.xshard_expired;
-      it = xpending_.erase(it);
+      it = seq_->xpending.erase(it);
     } else {
       ++it;
     }
@@ -137,7 +139,7 @@ void GroupMember::xshard_try_release() {
     progress = false;
     // The committed pending minimal by the global (final_ts, xid) key.
     XPending* best = nullptr;
-    for (auto& [xid, p] : xpending_) {
+    for (auto& [xid, p] : seq_->xpending) {
       if (!p.committed) continue;
       if (best == nullptr || std::tie(p.final_ts, p.xid) <
                                  std::tie(best->final_ts, best->xid)) {
@@ -147,7 +149,7 @@ void GroupMember::xshard_try_release() {
     if (best == nullptr) return;  // nothing committed; commits re-trigger us
     // Any uncommitted pending below the key may yet commit below it
     // (final' >= proposed'), so it would have to precede `best` everywhere.
-    for (const auto& [xid, p] : xpending_) {
+    for (const auto& [xid, p] : seq_->xpending) {
       if (p.committed) continue;
       if (std::tie(p.proposed, p.xid) <
           std::tie(best->final_ts, best->xid)) {
@@ -167,7 +169,7 @@ void GroupMember::xshard_try_release() {
       xreleased_.erase(xreleased_fifo_.front());
       xreleased_fifo_.pop_front();
     }
-    xpending_.erase(xid);
+    seq_->xpending.erase(xid);
     ++stats_.xshard_injected;
     seq_assign(my_id_, 0, MessageKind::xshard, payload, false);
     progress = true;  // the next-smallest committed may now be releasable
@@ -180,31 +182,6 @@ void GroupMember::xshard_schedule_release() {
     xrelease_timer_ = transport::kInvalidTimer;
     xshard_try_release();
   });
-}
-
-void GroupMember::xshard_note_role(bool am_seq_now) {
-  if (am_seq_now == x_was_seq_) return;
-  x_was_seq_ = am_seq_now;
-  if (!am_seq_now) {
-    // Lost the role (hand-off away): the new sequencer owns ordering; our
-    // pending table is dead weight. Origins re-propose / re-commit there.
-    xshard_clear();
-    return;
-  }
-  if (members_.size() == 1 && inc_ == 0) {
-    // Fresh CreateGroup: no predecessor, nothing in flight to wait for.
-    return;
-  }
-  xquarantine_until_ = exec_.now() + kXShardRetry * 4;
-  ++stats_.xshard_quarantines;
-  xshard_schedule_release();
-}
-
-void GroupMember::xshard_clear() {
-  xpending_.clear();
-  exec_.cancel_timer(xrelease_timer_);
-  xrelease_timer_ = transport::kInvalidTimer;
-  xquarantine_until_ = Time{};
 }
 
 }  // namespace amoeba::group

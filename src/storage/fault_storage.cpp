@@ -2,16 +2,6 @@
 
 namespace amoeba::storage {
 
-Status FaultStorage::tear_tail(const std::string& name, std::uint64_t n) {
-  auto f = inner_.open(name);
-  if (!f.ok()) return f.status();
-  const std::uint64_t sz = (*f)->size();
-  const std::uint64_t cut = n < sz ? n : sz;
-  const Status s = (*f)->truncate(sz - cut);
-  if (s == Status::ok) ++stats_.torn_tails;
-  return s;
-}
-
 Result<std::unique_ptr<StorageFile>> FaultStorage::open(
     const std::string& name) {
   auto f = inner_.open(name);

@@ -8,8 +8,6 @@
 //     the re-write leaves a torn record on disk;
 //   - sync failure: `fsync` reports io_error without establishing the
 //     barrier, exercising the caller's retry path;
-//   - torn tail   : scripted `tear_tail(name, n)` chops n bytes off a
-//     file's end, as a crashed sector write would;
 //   - stale rename: scripted `drop_next_rename()` makes the next rename
 //     report ok but not happen — the checkpoint publication that a crash
 //     un-did.
@@ -41,10 +39,9 @@ struct FileFaultStats {
   RelaxedCounter short_writes;
   RelaxedCounter sync_fails;
   RelaxedCounter dropped_renames;
-  RelaxedCounter torn_tails;
 
   std::uint64_t injected() const {
-    return short_writes + sync_fails + dropped_renames + torn_tails;
+    return short_writes + sync_fails + dropped_renames;
   }
 };
 
@@ -58,9 +55,6 @@ class FaultStorage final : public Storage {
 
   /// Script: silently lose the next rename (reported ok).
   void drop_next_rename() { drop_rename_ = true; }
-
-  /// Script: chop `n` bytes off the end of `name` right now.
-  Status tear_tail(const std::string& name, std::uint64_t n);
 
   const FileFaultStats& fault_stats() const { return stats_; }
 

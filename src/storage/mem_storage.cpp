@@ -59,12 +59,6 @@ void MemStorage::crash_unsynced(const CrashOptions& opts) {
   }
 }
 
-std::uint64_t MemStorage::total_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& [name, d] : files_) total += d->data.size();
-  return total;
-}
-
 Result<std::unique_ptr<StorageFile>> MemStorage::open(const std::string& name) {
   auto& slot = files_[name];
   if (slot == nullptr) slot = std::make_shared<FileData>();

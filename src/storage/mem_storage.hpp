@@ -36,8 +36,6 @@ class MemStorage final : public Storage {
   void crash_unsynced(const CrashOptions& opts);
   void crash_unsynced() { crash_unsynced(CrashOptions{}); }
 
-  /// Total bytes across all files (compaction tests bound this).
-  std::uint64_t total_bytes() const;
   std::size_t file_count() const { return files_.size(); }
 
   // --- Storage --------------------------------------------------------------

@@ -318,6 +318,37 @@ TEST(DurableConfig, RejectsNonsenseKnobs) {
   EXPECT_EQ(c4.normalize(), Status::ok);
 }
 
+// Group commit: an `ok` completion waits for the fsync that covers the
+// message. While every barrier fails the send stays pending, retried on
+// the flush timer; the first barrier that succeeds completes it.
+TEST(DurableGroup, FailedBarriersHoldTheSendUntilOneSucceeds) {
+  storage::MemStorage disk;
+  storage::FaultStorage faulty(disk, 3);
+  faulty.set_plan({.sync_fail = 1.0});
+  GroupConfig cfg;
+  cfg.durability = Durability::group_commit;
+  DurableLog log(faulty, DurableLogOptions{.segment_bytes = cfg.log_segment_bytes});
+  ASSERT_EQ(log.open(), Status::ok);
+  SimGroupHarness h(3, cfg);
+  ASSERT_TRUE(h.form_group());
+  h.process(1).member().set_durable_log(&log);
+
+  bool done = false;
+  Status status = Status::failure;
+  h.process(1).user_send(payload(1), [&](Status s) {
+    status = s;
+    done = true;
+  });
+  h.run_until([] { return false; }, Duration::millis(50));
+  EXPECT_FALSE(done) << "completed before any barrier succeeded";
+  EXPECT_GT(faulty.fault_stats().sync_fails.load(), 1u);
+  EXPECT_GE(h.process(1).delivered_count(), 1u);
+
+  faulty.set_plan({});
+  ASSERT_TRUE(h.run_until([&] { return done; }, Duration::seconds(5)));
+  EXPECT_EQ(status, Status::ok);
+}
+
 // --- Compaction ack-map hygiene (regression) -------------------------------
 
 // A member that leaves must be erased from the sequencer's ack map, or its

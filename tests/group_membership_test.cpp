@@ -58,6 +58,43 @@ TEST(GroupMembership, JoinDuringHeavyTraffic) {
   }
 }
 
+TEST(GroupMembership, LeaveRetriesPastAOneWayCut) {
+  // A one-way cut from the leaver to the sequencer eats the first
+  // leave_req; the leave timer re-sends it after the cut heals.
+  SimGroupHarness h(3, GroupConfig{});
+  ASSERT_TRUE(h.form_group());
+  transport::NemesisEvent cut;
+  cut.kind = transport::NemesisEvent::Kind::partition;
+  cut.cuts = {{h.process(2).faults().station(),
+               h.process(0).faults().station()}};
+  transport::NemesisEvent heal;
+  heal.at = Duration::millis(60);
+  heal.kind = transport::NemesisEvent::Kind::heal;
+  for (std::size_t i = 0; i < h.size(); ++i) {
+    h.process(i).faults().set_schedule({cut, heal});
+    h.process(i).faults().start_nemesis();
+  }
+
+  const Time start = h.engine().now();
+  Time end{};
+  Status status = Status::failure;
+  bool done = false;
+  h.process(2).member().leave_group([&](Status s) {
+    status = s;
+    end = h.engine().now();
+    done = true;
+  });
+  ASSERT_TRUE(h.run_until([&] { return done; }, Duration::seconds(5)));
+  EXPECT_EQ(status, Status::ok);
+  EXPECT_GE(end - start, Duration::millis(60));
+  std::uint64_t drops = 0;
+  for (std::size_t i = 0; i < h.size(); ++i) {
+    drops += h.process(i).faults().fault_stats().partition_drops;
+  }
+  EXPECT_EQ(drops, 1u) << "only the first leave_req meets the cut";
+  EXPECT_EQ(h.process(0).member().info().members.size(), 2u);
+}
+
 TEST(GroupMembership, JoinSurvivesSnapshotLoss) {
   GroupConfig cfg;
   cfg.join_retry = Duration::millis(30);

@@ -409,6 +409,51 @@ TEST(Sharded, CrossShardRoundTimesOutAfterItsRetryBudget) {
   EXPECT_LT(end - start, kXShardRetry * 4);
 }
 
+// Every sequencer regime not created by CreateGroup starts with an empty
+// cross-shard pending table, so it holds releases for the quarantine.
+TEST(Sharded, HandOffToTheLastMemberQuarantines) {
+  // A hand-off to the one remaining member leaves a one-member view at
+  // incarnation 0, which looks like a fresh group but is not one.
+  SimGroupHarness h(2, quick_cfg());
+  ASSERT_TRUE(h.form_group());
+  GroupMember& successor = h.process(1).member();
+  ASSERT_EQ(successor.stats().xshard_quarantines.load(), 0u);
+
+  Status left = Status::failure;
+  h.process(0).member().leave_group([&](Status s) { left = s; });
+  ASSERT_TRUE(h.run_until([&] { return successor.i_am_sequencer(); },
+                          Duration::seconds(5)));
+  h.run_until([] { return false; }, Duration::millis(50));
+  EXPECT_EQ(left, Status::ok);
+  EXPECT_EQ(successor.info().members.size(), 1u);
+  EXPECT_EQ(successor.info().incarnation, 0u);
+  EXPECT_EQ(successor.stats().xshard_quarantines.load(), 1u);
+}
+
+TEST(Sharded, SelfCoordinatedResetQuarantines) {
+  // The sequencer rebuilds the group itself after a member crash: the
+  // reset ends its regime like anyone else's, and the new one quarantines.
+  SimGroupHarness h(3, quick_cfg());
+  ASSERT_TRUE(h.form_group());
+  GroupMember& seq = h.process(0).member();
+  const std::uint64_t before = seq.stats().xshard_quarantines.load();
+  h.process(2).faults().crash();
+
+  bool done = false;
+  Status status = Status::failure;
+  std::uint32_t size = 0;
+  seq.reset_group(2, [&](Status s, std::uint32_t n) {
+    status = s;
+    size = n;
+    done = true;
+  });
+  ASSERT_TRUE(h.run_until([&] { return done; }, Duration::seconds(60)));
+  ASSERT_EQ(status, Status::ok);
+  EXPECT_EQ(size, 2u);
+  EXPECT_TRUE(seq.i_am_sequencer());
+  EXPECT_EQ(seq.stats().xshard_quarantines.load(), before + 1);
+}
+
 TEST(Sharded, OversizeCrossShardSendRejectedImmediately) {
   // A cross-shard payload travels inside the 24-byte commit envelope of a
   // group message, within FLIP's 64 KiB. The largest payload reaches both
