@@ -17,7 +17,7 @@ int main() {
                "Fig. 4 (throughput vs #senders, sizes 0/1K/2K/4K B)");
 
   const std::size_t sizes[] = {0, 1024, 2048, 4096};
-  const std::size_t senders[] = {1, 2, 4, 8, 12, 16};
+  const std::size_t senders[] = {1, 2, 4, 8, 12, 16, 20, 24, 30};
 
   print_series_header({"senders", "0 B", "1 KB", "2 KB", "4 KB"});
   for (const std::size_t n : senders) {

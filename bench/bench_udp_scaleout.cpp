@@ -1,8 +1,9 @@
 // Loopback benchmark for the real UDP transport (google benchmark): one
-// sender broadcasting by unicast fan-out vs kernel multicast, and four
-// senders converging on one receiver's socket, measured as aggregate
+// sender broadcasting by unicast fan-out vs kernel multicast, four
+// senders converging on one receiver's socket, and one sender fanning
+// FLIP fragment trains out to two receivers, measured as aggregate
 // delivered msg/s (items_per_second) and per-burst wall time (real_time
-// covers kBurst messages).
+// covers one burst of messages).
 //
 // Everything runs against live sockets on 127.0.0.1 — this measures the
 // device layer the paper tables sit on, not the simulator; see
@@ -34,9 +35,9 @@ constexpr std::size_t kPayload = 64;
 /// the measurement), large enough to amortize the wait handshake.
 constexpr std::uint64_t kBurst = 64;
 
-BufView frame() {
-  SharedBuffer b = SharedBuffer::allocate(kPayload);
-  std::memset(b.data(), 0x5a, kPayload);
+BufView frame(std::size_t bytes = kPayload) {
+  SharedBuffer b = SharedBuffer::allocate(bytes);
+  std::memset(b.data(), 0x5a, bytes);
   return BufView(std::move(b));
 }
 
@@ -110,10 +111,12 @@ void broadcast_bench(benchmark::State& state, bool kmcast) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(sent));
   if (lost) state.SkipWithError("datagrams lost on loopback");
+  // Receivers can hold a flush's datagrams before the flusher has counted
+  // them: read the count once the loops have stopped.
+  for (auto& n : nodes) n->rt.stop();
   state.counters["tx_datagrams_per_msg"] = static_cast<double>(
       sender.rt.io_stats().tx_datagrams.load() / std::max<std::uint64_t>(
           1, sent));
-  for (auto& n : nodes) n->rt.stop();
 }
 
 void BM_UdpBroadcastFanout(benchmark::State& s) {
@@ -165,6 +168,57 @@ void BM_UdpRxSingleSocket(benchmark::State& state) {
   for (auto& n : nodes) n->rt.stop();
 }
 BENCHMARK(BM_UdpRxSingleSocket)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
+
+// ---------------------------------------------------------------------------
+// Fragment trains: one sender broadcasting 8000-byte FLIP messages to 2
+// receivers. FLIP cuts such a message into five 1400-byte frames and one
+// of 1264 bytes (1356 payload bytes per full frame, plus its 40-byte
+// header and 4-byte CRC), and the fan-out queues each frame once per
+// receiver: 12 datagrams per message, which leave as one train per
+// receiver when the kernel takes UDP GSO.
+// ---------------------------------------------------------------------------
+
+void BM_UdpFragmentTrain(benchmark::State& state) {
+  constexpr std::size_t kReceivers = 2;
+  /// Messages per timed iteration: 48 datagrams per receiver, well inside
+  /// the default loopback receive buffer.
+  constexpr std::uint64_t kMessages = 8;
+  std::vector<BufView> fragments(5, frame(1400));
+  fragments.push_back(frame(1264));
+  std::vector<std::unique_ptr<Node>> nodes;
+  for (std::size_t i = 0; i <= kReceivers; ++i) {
+    nodes.push_back(std::make_unique<Node>(UdpOptions{}));  // sender = 0
+  }
+  form(nodes);
+  Node& sender = *nodes[0];
+
+  std::uint64_t sent = 0;
+  bool lost = false;
+  for (auto _ : state) {
+    for (std::uint64_t k = 0; k < kMessages; ++k) {
+      // One message's fragments are queued together, as FLIP queues them.
+      std::lock_guard lock(sender.rt.mutex());
+      for (const BufView& f : fragments) {
+        sender.rt.send_broadcast(BufView(f), f.size());
+      }
+    }
+    sent += kMessages;
+    for (std::size_t i = 1; i < nodes.size(); ++i) {
+      lost |= !await(nodes[i]->got, sent * fragments.size());
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(sent));
+  if (lost) state.SkipWithError("datagrams lost on loopback");
+  // Receivers can hold a flush's datagrams before the flusher has counted
+  // them: read the count once the loops have stopped.
+  for (auto& n : nodes) n->rt.stop();
+  state.counters["tx_datagrams_per_msg"] = static_cast<double>(
+      sender.rt.io_stats().tx_datagrams.load() / std::max<std::uint64_t>(
+          1, sent));
+}
+BENCHMARK(BM_UdpFragmentTrain)
     ->Unit(benchmark::kMicrosecond)
     ->UseRealTime();
 

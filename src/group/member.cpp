@@ -1001,6 +1001,9 @@ void GroupMember::deliver(SeqNum seq, PendingMsg msg) {
   if (catchup_to_.has_value() && seq_ge(next_deliver_, *catchup_to_)) {
     catchup_to_.reset();
   }
+  if (reset_floor_.has_value() && seq_ge(seq, *reset_floor_)) {
+    reset_floor_.reset();
+  }
 
   GroupMessage gm;
   gm.seq = seq;
@@ -1215,7 +1218,7 @@ void GroupMember::apply_membership(const GroupMessage& msg) {
     }
     case MessageKind::handoff: {
       // The sequencer role moves; nobody departs.
-      pass_role(change->new_sequencer);
+      if (!reset_floor_.has_value()) pass_role(change->new_sequencer);
       if (change->member == my_id_) {
         // We were the old sequencer: the transfer is complete.
         leaving_ = false;
@@ -1268,7 +1271,7 @@ void GroupMember::apply_membership(const GroupMessage& msg) {
       }
       if (change->new_sequencer != kInvalidMember) {
         // The departing sequencer drained the group first.
-        pass_role(change->new_sequencer);
+        if (!reset_floor_.has_value()) pass_role(change->new_sequencer);
       } else if (i_am_sequencer()) {
         // A member left: its horizon no longer constrains the history, and
         // tentative messages waiting on its ack can settle.
@@ -1490,6 +1493,7 @@ void GroupMember::rejoin_group(StatusCb done) {
   ooo_.clear();
   clear_bb_stash();
   catchup_to_.reset();
+  reset_floor_.reset();
   leaving_ = false;
   state_ = State::idle;
   join_group(group, std::move(done));

@@ -428,6 +428,11 @@ class GroupMember {
   /// After recovery: the rebuilt stream extends to here; NACK our way up
   /// even though nothing sits in the out-of-order buffer yet.
   std::optional<SeqNum> catchup_to_;
+  /// After a ResetGroup: the rebuilt stream's end. The reset's result names
+  /// the rebuilt group's sequencer, so a hand-off (or a sequencer's leave)
+  /// stamped below this and delivered only now is superseded: it must not
+  /// move the role. Cleared by the first delivery at or above it.
+  std::optional<SeqNum> reset_floor_;
   transport::TimerId status_timer_{transport::kInvalidTimer};
 
   // Sender.

@@ -452,10 +452,12 @@ void GroupMember::coord_finish() {
     it = seq_ge(it->first, r.target) ? ooo_.erase(it) : ++it;
   }
   clear_bb_stash();
+  // A coordinator that lagged behind a hand-off delivers it just now; the
+  // floor keeps the role here, where the result says it is.
+  reset_floor_ = r.target;
   drain_deliverable();
   assert(next_deliver_ == r.target);
-  // A coordinator that lagged behind a hand-off delivers it just now, and
-  // pass_role has then moved the role (and its regime) on.
+  // Only our own departure in the drained stream takes the role from us.
   if (i_am_sequencer()) {
     seq_->next_assign = r.target;
     // Prime duplicate suppression from the recovered history so a survivor
@@ -544,8 +546,10 @@ void GroupMember::on_reset_result(const WireMsg& m) {
 
   // The rebuilt stream ends (exclusively) at next_seq: promote what we
   // buffered below it, discard what was above it, and NACK the rest from
-  // the new sequencer.
+  // the new sequencer. A hand-off below it that we deliver only now leaves
+  // the role where the result puts it.
   const SeqNum target = snap->next_seq;
+  reset_floor_ = target;
   for (auto it = ooo_.begin(); it != ooo_.end();) {
     if (seq_ge(it->first, target)) {
       it = ooo_.erase(it);

@@ -8,6 +8,7 @@
 #include <arpa/inet.h>
 #include <net/if.h>
 #include <netinet/in.h>
+#include <netinet/udp.h>
 #include <poll.h>
 #include <sys/eventfd.h>
 #include <sys/ioctl.h>
@@ -47,8 +48,17 @@ constexpr int kTxSoftSpins = 8;
 constexpr int kTxPolls = 16;
 constexpr int kTxPollMs = 10;
 /// Largest payload a UDP datagram can carry at all (64 KiB IP minus
-/// IP + UDP headers); normalize() rejects anything beyond it.
+/// IP + UDP headers); normalize() rejects anything beyond it. It also caps
+/// a GSO train's total payload, which goes down the stack as one datagram.
 constexpr std::size_t kUdpHardMax = 65507;
+/// Most frames one GSO train carries: the kernel's UDP_MAX_SEGMENTS on
+/// kernels before 6.x, which later kernels raised.
+constexpr std::uint32_t kGsoMaxSegments = 64;
+/// Control-message room for one UDP_SEGMENT size.
+union GsoControl {
+  char buf[CMSG_SPACE(sizeof(std::uint16_t))];
+  cmsghdr align;
+};
 /// IP (20) + UDP (8) header bytes between payload size and wire size.
 constexpr std::size_t kIpUdpOverhead = 28;
 /// The reserved 239.192/16 group every station joins when kernel
@@ -130,6 +140,14 @@ void UdpRuntime::init(const UdpOptions& options) {
   // file descriptors, and a pipe would need two.
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK);
   if (wake_fd_ < 0) fail("eventfd() failed");
+
+  // UDP GSO probe: kernels without segmentation offload (before 4.18)
+  // reject the option; then every frame stays its own datagram.
+  int gso_size = 0;
+  socklen_t gso_len = sizeof(gso_size);
+  gso_active_.store(
+      ::getsockopt(fd_, SOL_UDP, UDP_SEGMENT, &gso_size, &gso_len) == 0,
+      std::memory_order_relaxed);
 
   if (opts_.kernel_multicast) setup_multicast();
 }
@@ -243,20 +261,23 @@ void UdpRuntime::start() {
 
 void UdpRuntime::stop() {
   if (!running_.exchange(false)) return;
-  wake();
+  // Kick the loop out of poll without mu_: callers may stop a runtime
+  // while holding a lock its handlers take. The loop reads running_
+  // before it parks, so it either sees the stop there or is woken here.
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const auto n = ::write(wake_fd_, &one, sizeof(one));
   if (loop_thread_.joinable()) loop_thread_.join();
 }
 
 void UdpRuntime::wake() {
-  // Suppressor: while a wake is in flight (written but not yet drained by
-  // the loop), further wakes are free. The loop clears the flag after
-  // draining the fd and BEFORE re-checking the queues, so a post that
-  // slips in between either sees the flag still set (the loop will look)
-  // or writes a fresh wake.
-  if (wake_pending_.exchange(true, std::memory_order_acq_rel)) {
+  // Caller holds mu_. Only a loop parked in poll needs the eventfd; one
+  // that has not parked takes mu_ again before it polls and finds the
+  // work then, so this wake is free.
+  if (!loop_parked_) {
     io_stats_.wakes_suppressed.fetch_add(1, std::memory_order_relaxed);
     return;
   }
+  loop_parked_ = false;
   io_stats_.wakeups.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t one = 1;
   [[maybe_unused]] const auto n = ::write(wake_fd_, &one, sizeof(one));
@@ -266,7 +287,6 @@ void UdpRuntime::drain_wake_fd() {
   std::uint64_t v;
   while (::read(wake_fd_, &v, sizeof(v)) > 0) {
   }
-  wake_pending_.store(false, std::memory_order_release);
 }
 
 Time UdpRuntime::now() const { return Time{(steady_now() - epoch_).ns}; }
@@ -318,35 +338,136 @@ void UdpRuntime::enqueue_tx(Endpoint to, BufView payload, bool mcast) {
     io_stats_.tx_backpressure_waits.fetch_add(1, std::memory_order_relaxed);
     std::vector<PendingTx> batch;
     batch.swap(tx_queue_);
-    flush_tx(batch);
+    flush_tx(batch, inline_scratch_);
     return;
   }
   wake();
 }
 
-void UdpRuntime::flush_tx(std::vector<PendingTx>& batch) {
+void UdpRuntime::plan_trains(const std::vector<PendingTx>& batch,
+                             TxScratch& scratch) const {
+  auto& trains = scratch.trains;
+  auto& open = scratch.open;
+  trains.clear();
+  open.clear();
+  scratch.train_of.resize(batch.size());
+  const bool gso = gso_active_.load(std::memory_order_relaxed);
+  for (std::uint32_t i = 0; i < batch.size(); ++i) {
+    const PendingTx& tx = batch[i];
+    const auto len = static_cast<std::uint32_t>(tx.payload.size());
+    // Only the last train towards each destination may still grow, so a
+    // frame looks for its destination among the open trains. It joins if
+    // it is no larger than the train's segment size and the caps allow;
+    // a shorter frame is the train's last. An empty frame never trains:
+    // a zero-byte segment would vanish in the cut.
+    std::uint32_t t = static_cast<std::uint32_t>(trains.size());
+    for (std::size_t k = 0; k < open.size(); ++k) {
+      TxTrain& train = trains[open[k]];
+      if (!(batch[train.first].to == tx.to)) continue;
+      const bool joins = len > 0 && len <= train.seg &&
+                         train.bytes + len <= kUdpHardMax;
+      if (joins) {
+        t = open[k];
+        ++train.frames;
+        train.bytes += len;
+      }
+      if (!joins || len < train.seg || train.frames == kGsoMaxSegments) {
+        open[k] = open.back();
+        open.pop_back();
+      }
+      break;
+    }
+    if (t == trains.size()) {
+      trains.push_back(TxTrain{i, 1, len, len, 0});
+      if (gso && len > 0) open.push_back(t);
+    }
+    scratch.train_of[i] = t;
+  }
+  // Lay the gather entries out train by train (a counting sort on
+  // train_of), keeping each train's frames in batch order.
+  scratch.iovs.resize(batch.size());
+  std::uint32_t at = 0;
+  for (TxTrain& train : trains) {
+    train.iov = at;
+    at += train.frames;
+    train.frames = 0;
+  }
+  for (std::uint32_t i = 0; i < batch.size(); ++i) {
+    TxTrain& train = trains[scratch.train_of[i]];
+    iovec& iov = scratch.iovs[train.iov + train.frames++];
+    iov.iov_base =
+        const_cast<std::uint8_t*>(batch[i].payload.data());  // sendmsg ABI
+    iov.iov_len = batch[i].payload.size();
+  }
+}
+
+unsigned UdpRuntime::send_unsegmented(const sockaddr_in& to, const iovec* iov,
+                                      unsigned frames) {
+  std::array<mmsghdr, kGsoMaxSegments> msgs{};
+  for (unsigned k = 0; k < frames; ++k) {
+    msgs[k].msg_hdr.msg_name = const_cast<sockaddr_in*>(&to);
+    msgs[k].msg_hdr.msg_namelen = sizeof(to);
+    msgs[k].msg_hdr.msg_iov = const_cast<iovec*>(iov + k);
+    msgs[k].msg_hdr.msg_iovlen = 1;
+  }
+  unsigned sent = 0;
+  while (sent < frames) {
+    const int rc = ::sendmmsg(fd_, msgs.data() + sent, frames - sent, 0);
+    if (rc > 0) {
+      sent += static_cast<unsigned>(rc);
+      io_stats_.tx_batches.fetch_add(1, std::memory_order_relaxed);
+    } else if (rc < 0 && errno == EINTR) {
+      io_stats_.tx_eintr.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      break;
+    }
+  }
+  return sent;
+}
+
+void UdpRuntime::flush_tx(std::vector<PendingTx>& batch, TxScratch& scratch) {
+  plan_trains(batch, scratch);
+  const std::vector<TxTrain>& trains = scratch.trains;
   std::array<mmsghdr, kIoBatch> msgs;
-  std::array<iovec, kIoBatch> iovs;
   std::array<sockaddr_in, kIoBatch> addrs;
+  std::array<GsoControl, kIoBatch> ctls;
+  // Counts `n` datagrams of `train` as handed to the kernel.
+  const auto count_sent = [&](const TxTrain& train, std::uint32_t n) {
+    io_stats_.tx_datagrams.fetch_add(n, std::memory_order_relaxed);
+    if (batch[train.first].mcast) {
+      io_stats_.tx_mcast_datagrams.fetch_add(n, std::memory_order_relaxed);
+    }
+  };
   std::size_t done = 0;
-  while (done < batch.size()) {
+  while (done < trains.size()) {
     const auto n = static_cast<unsigned>(
-        std::min<std::size_t>(kIoBatch, batch.size() - done));
+        std::min<std::size_t>(kIoBatch, trains.size() - done));
     for (unsigned i = 0; i < n; ++i) {
-      const PendingTx& tx = batch[done + i];
+      const TxTrain& train = trains[done + i];
+      const Endpoint& to = batch[train.first].to;
       sockaddr_in& addr = addrs[i];
       std::memset(&addr, 0, sizeof(addr));
       addr.sin_family = AF_INET;
-      addr.sin_addr.s_addr = tx.to.ip_be;
-      addr.sin_port = tx.to.port_be;
-      iovs[i].iov_base =
-          const_cast<std::uint8_t*>(tx.payload.data());  // sendmsg ABI
-      iovs[i].iov_len = tx.payload.size();
+      addr.sin_addr.s_addr = to.ip_be;
+      addr.sin_port = to.port_be;
       std::memset(&msgs[i], 0, sizeof(msgs[i]));
-      msgs[i].msg_hdr.msg_name = &addr;
-      msgs[i].msg_hdr.msg_namelen = sizeof(addr);
-      msgs[i].msg_hdr.msg_iov = &iovs[i];
-      msgs[i].msg_hdr.msg_iovlen = 1;
+      msghdr& hdr = msgs[i].msg_hdr;
+      hdr.msg_name = &addr;
+      hdr.msg_namelen = sizeof(addr);
+      hdr.msg_iov = &scratch.iovs[train.iov];
+      hdr.msg_iovlen = train.frames;
+      if (train.frames > 1) {
+        // The kernel cuts the gathered bytes into `seg`-byte datagrams,
+        // the last one shorter if the train's last frame is.
+        hdr.msg_control = ctls[i].buf;
+        hdr.msg_controllen = sizeof(ctls[i].buf);
+        cmsghdr* cm = CMSG_FIRSTHDR(&hdr);
+        cm->cmsg_level = SOL_UDP;
+        cm->cmsg_type = UDP_SEGMENT;
+        cm->cmsg_len = CMSG_LEN(sizeof(std::uint16_t));
+        const auto seg = static_cast<std::uint16_t>(train.seg);
+        std::memcpy(CMSG_DATA(cm), &seg, sizeof(seg));
+      }
     }
     // Send the batch, retrying the unsent tail. A partial sendmmsg return
     // or a soft errno must NOT discard the remainder: these frames carry
@@ -359,14 +480,15 @@ void UdpRuntime::flush_tx(std::vector<PendingTx>& batch) {
       const int rc = ::sendmmsg(fd_, msgs.data() + sent, n - sent, 0);
       if (rc > 0) {
         for (unsigned i = sent; i < sent + static_cast<unsigned>(rc); ++i) {
-          if (batch[done + i].mcast) {
-            io_stats_.tx_mcast_datagrams.fetch_add(1,
-                                                   std::memory_order_relaxed);
+          const TxTrain& train = trains[done + i];
+          count_sent(train, train.frames);
+          if (train.frames > 1) {
+            io_stats_.tx_gso_sends.fetch_add(1, std::memory_order_relaxed);
+            io_stats_.tx_gso_datagrams.fetch_add(train.frames,
+                                                 std::memory_order_relaxed);
           }
         }
         sent += static_cast<unsigned>(rc);
-        io_stats_.tx_datagrams.fetch_add(static_cast<std::uint64_t>(rc),
-                                         std::memory_order_relaxed);
         io_stats_.tx_batches.fetch_add(1, std::memory_order_relaxed);
         spins = 0;
         continue;
@@ -375,8 +497,27 @@ void UdpRuntime::flush_tx(std::vector<PendingTx>& batch) {
         io_stats_.tx_eintr.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
-      if (rc < 0 && (errno == EAGAIN || errno == EWOULDBLOCK ||
-                     errno == ENOBUFS)) {
+      const int err = errno;
+      if (rc < 0 && (err == EIO || err == EINVAL) &&
+          trains[done + sent].frames > 1) {
+        // The kernel refused the segmentation offload. If it takes the
+        // same frames one datagram each, GSO was the cause: every later
+        // frame is its own entry.
+        const TxTrain& train = trains[done + sent];
+        const unsigned went = send_unsegmented(
+            addrs[sent], &scratch.iovs[train.iov], train.frames);
+        if (went == train.frames) {
+          gso_active_.store(false, std::memory_order_relaxed);
+          log_warn("udp", "UDP GSO refused (errno=%d); sending unsegmented",
+                   err);
+        }
+        count_sent(train, went);
+        io_stats_.tx_dropped.fetch_add(train.frames - went,
+                                       std::memory_order_relaxed);
+        ++sent;
+        continue;
+      }
+      if (rc < 0 && (err == EAGAIN || err == EWOULDBLOCK || err == ENOBUFS)) {
         io_stats_.tx_soft_errors.fetch_add(1, std::memory_order_relaxed);
         if (++spins <= kTxSoftSpins) continue;
         if (++polls <= kTxPolls && running_.load()) {
@@ -391,9 +532,11 @@ void UdpRuntime::flush_tx(std::vector<PendingTx>& batch) {
       }
       // Hard error, or the soft-error budget ran out (or we are shutting
       // down): count and drop the tail; NACK/retry recovers the loss.
-      io_stats_.tx_dropped.fetch_add(n - sent, std::memory_order_relaxed);
-      log_warn("udp", "sendmmsg gave up: errno=%d, dropped=%u", errno,
-               n - sent);
+      std::uint64_t dropped = 0;
+      for (unsigned i = sent; i < n; ++i) dropped += trains[done + i].frames;
+      io_stats_.tx_dropped.fetch_add(dropped, std::memory_order_relaxed);
+      log_warn("udp", "sendmmsg gave up: errno=%d, dropped=%llu", err,
+               static_cast<unsigned long long>(dropped));
       break;
     }
     done += n;
@@ -567,14 +710,17 @@ void UdpRuntime::loop() {
   }
 
   std::vector<PendingTx> tx_batch;
+  TxScratch tx_scratch;
   // Dispatch scratch: (station, datagram view) per received frame.
   std::vector<std::pair<StationId, BufView>> rx_batch;
   rx_batch.reserve(kIoBatch);
 
   while (running_.load()) {
     int timeout_ms = 1000;
+    bool park = false;
     {
       std::unique_lock lock(mu_);
+      loop_parked_ = false;
       // Dispatch due timers and queued tasks.
       while (true) {
         // Purge cancelled timers at the head (their ids were erased from
@@ -604,13 +750,18 @@ void UdpRuntime::loop() {
             0, std::min<std::int64_t>(wait_ns / 1'000'000 + 1, 1000)));
       }
       tx_batch.swap(tx_queue_);
+      // Nothing left to run or send: park in poll. Until the loop takes
+      // mu_ again, a wake() must write the eventfd.
+      park = tx_batch.empty() && running_.load();
+      loop_parked_ = park;
     }
     // Syscalls happen outside mu_: blocked user threads never wait on the
     // kernel. The views in tx_batch pin the frame bytes.
     if (!tx_batch.empty()) {
-      flush_tx(tx_batch);
+      flush_tx(tx_batch, tx_scratch);
       continue;  // tasks may have been posted while unlocked; re-dispatch
     }
+    if (!park) continue;  // stop() came: the loop condition ends the loop
 
     // mcast_fd_ is -1 unless kernel multicast is up; poll skips it then.
     pollfd fds[3] = {{fd_, POLLIN, 0}, {mcast_fd_, POLLIN, 0},
@@ -630,6 +781,7 @@ void UdpRuntime::loop() {
     // One mu_ acquisition dispatches the whole batch.
     if (did_rx) {
       std::unique_lock lock(mu_);
+      loop_parked_ = false;
       if (rx_) {
         for (auto& [station, view] : rx_batch) {
           rx_(station, std::move(view));

@@ -38,18 +38,43 @@
 //     swapped out earlier; each flush owns its batch, so the two share
 //     only the socket (the kernel serializes sendmmsg) and the relaxed
 //     io_stats_ counters.
-//   - The wake path is an eventfd with a pending-flag suppressor:
-//     back-to-back posts cost one syscall, not one each
-//     (`wakes_suppressed`), and wake-ups that find no work are counted
-//     (`wake_spurious`).
+//   - The wake path is an eventfd that only a parked loop needs. The
+//     loop decides under mu_ to park in poll (nothing left to run or
+//     send) and sets `loop_parked_`; a wake() (whose caller holds mu_:
+//     post, set_timer, enqueue_tx) writes the eventfd only then, and
+//     clears the flag as it writes. stop() writes it unconditionally and
+//     without mu_.
+//     Any other wake is free (`wakes_suppressed`): a loop that has not
+//     parked takes mu_ again before it polls, at the top of its pass or
+//     to dispatch what it received, and finds the work then. So a handler
+//     that posts or sends from the loop thread costs no syscall, and
+//     back-to-back posts to a parked loop cost one. Wake-ups that find no
+//     work are counted (`wake_spurious`).
 //
 // I/O batching: outbound frames queue (as views — no copies) and are
 // flushed with one sendmmsg per batch, so a multicast fan-out of N frames
-// or a pipeline of back-to-back sends costs one syscall, not N. Inbound,
-// recvmmsg drains each readable socket into pooled receive buffers and
-// the whole batch is dispatched under a single mu_ acquisition; each
-// handler gets a zero-copy view of its datagram.
+// or a pipeline of back-to-back sends costs one syscall, not N. Within a
+// batch, the frames bound for one destination form trains: runs of one
+// segment size, in their batch order, of which only the last frame may
+// be shorter (at most kGsoMaxSegments frames and 65,507 bytes). A train
+// leaves as ONE sendmmsg entry that carries a UDP_SEGMENT control
+// message and a gather iovec over the frames' views, so the kernel walks
+// its sending stack once per train and cuts the train back into exactly
+// the datagrams it would otherwise have sent one by one: receivers see
+// the same bytes. A train sits at its first frame's position; frames to
+// other destinations may move relative to it, since UDP keeps no order
+// across peers, but the order towards each destination is kept. GSO is
+// probed once at construction (getsockopt UDP_SEGMENT); when the kernel
+// refuses it there, or refuses a train later (EIO/EINVAL) while taking
+// the same frames one datagram each, every frame is its own entry from
+// then on (`gso_active()`). Inbound, recvmmsg drains each readable socket
+// into pooled receive buffers and the whole batch is dispatched under a
+// single mu_ acquisition; each handler gets a zero-copy view of its
+// datagram.
 #pragma once
+
+#include <netinet/in.h>
+#include <sys/uio.h>
 
 #include <atomic>
 #include <condition_variable>
@@ -73,6 +98,8 @@ namespace amoeba::transport {
 struct UdpIoStats {
   std::atomic<std::uint64_t> tx_datagrams{0};   // handed to the kernel
   std::atomic<std::uint64_t> tx_batches{0};     // sendmmsg calls that sent
+  std::atomic<std::uint64_t> tx_gso_sends{0};   // entries carrying a train
+  std::atomic<std::uint64_t> tx_gso_datagrams{0};  // datagrams they carried
   std::atomic<std::uint64_t> tx_eintr{0};       // sendmmsg EINTR retries
   std::atomic<std::uint64_t> tx_soft_errors{0};  // EAGAIN/ENOBUFS seen
   std::atomic<std::uint64_t> tx_pollouts{0};    // waits for writability
@@ -89,7 +116,7 @@ struct UdpIoStats {
   std::atomic<std::uint64_t> mcast_join_failures{0};
   // --- wake path -----------------------------------------------------------
   std::atomic<std::uint64_t> wakeups{0};           // wake writes issued
-  std::atomic<std::uint64_t> wakes_suppressed{0};  // a wake was in flight
+  std::atomic<std::uint64_t> wakes_suppressed{0};  // loop was not parked
   std::atomic<std::uint64_t> wake_spurious{0};     // woke to no work
   // --- bounded tx queue ----------------------------------------------------
   std::atomic<std::uint64_t> tx_backpressure_waits{0};  // inline flushes
@@ -142,6 +169,12 @@ class UdpRuntime final : public Executor, public Device {
   /// True when the kernel-multicast path is up (requested AND the
   /// broadcast-group join succeeded); false means fan-out fallback.
   bool kernel_multicast_active() const { return mcast_active_; }
+  /// True while fragment trains leave as UDP GSO sends; false when the
+  /// kernel refused segmentation offload (at the construction probe or on
+  /// a later send), and every frame is its own datagram entry.
+  bool gso_active() const {
+    return gso_active_.load(std::memory_order_relaxed);
+  }
   /// Effective (normalized) construction options.
   const UdpOptions& options() const { return opts_; }
 
@@ -202,6 +235,7 @@ class UdpRuntime final : public Executor, public Device {
   struct Endpoint {
     std::uint32_t ip_be{0};
     std::uint16_t port_be{0};
+    bool operator==(const Endpoint&) const = default;
   };
 
   /// One queued outbound datagram: resolved destination + a view of the
@@ -214,6 +248,28 @@ class UdpRuntime final : public Executor, public Device {
     bool mcast{false};
   };
 
+  /// One sendmmsg entry: a train of frames to one destination (or a
+  /// single frame). `seg` is the first frame's size; `iov` indexes the
+  /// train's first gather entry in TxScratch::iovs.
+  struct TxTrain {
+    std::uint32_t first{0};   // batch index of the first frame
+    std::uint32_t frames{0};
+    std::uint32_t seg{0};
+    std::uint32_t bytes{0};
+    std::uint32_t iov{0};
+  };
+
+  /// The flush planner's working set, reused from flush to flush so that
+  /// planning allocates nothing once warm. Each flusher owns one: the
+  /// loop thread a local, the inline backpressure flush `inline_scratch_`
+  /// (under mu_).
+  struct TxScratch {
+    std::vector<TxTrain> trains;          // in order of first frame
+    std::vector<std::uint32_t> train_of;  // batch index -> train
+    std::vector<std::uint32_t> open;      // trains that may still grow
+    std::vector<iovec> iovs;              // grouped train by train
+  };
+
   void init(const UdpOptions& options);
   void setup_multicast();
   void loop();
@@ -223,9 +279,16 @@ class UdpRuntime final : public Executor, public Device {
   /// Queue one frame for the next flush; applies the high-watermark
   /// backpressure policy. Caller holds mu_.
   void enqueue_tx(Endpoint to, BufView payload, bool mcast);
-  /// Send a swapped-out batch with sendmmsg. Called without mu_ on the
-  /// normal path, WITH mu_ on the backpressure path.
-  void flush_tx(std::vector<PendingTx>& batch);
+  /// Send a swapped-out batch with sendmmsg, one entry per train. Called
+  /// without mu_ on the normal path, WITH mu_ on the backpressure path.
+  void flush_tx(std::vector<PendingTx>& batch, TxScratch& scratch);
+  /// Cut `batch` into trains (one-frame trains when GSO is off).
+  void plan_trains(const std::vector<PendingTx>& batch,
+                   TxScratch& scratch) const;
+  /// Send `frames` gathered frames to `to` as one plain datagram each;
+  /// returns how many went out.
+  unsigned send_unsegmented(const sockaddr_in& to, const iovec* iov,
+                            unsigned frames);
   /// recvmmsg-drain one readable socket, appending (source, datagram)
   /// pairs to `out`; datagrams from unknown peers and our own
   /// looped-back multicasts are counted and dropped. Called by the loop
@@ -239,7 +302,10 @@ class UdpRuntime final : public Executor, public Device {
   int fd_{-1};
   int mcast_fd_{-1};
   int wake_fd_{-1};
-  std::atomic<bool> wake_pending_{false};
+  /// Set by the loop, under mu_, when it parks in poll; cleared when it
+  /// takes mu_ again and by the wake() that writes the eventfd.
+  bool loop_parked_{false};
+  std::atomic<bool> gso_active_{false};
   std::uint16_t local_port_{0};
   std::uint16_t mcast_port_{0};
   bool mcast_active_{false};
@@ -268,6 +334,8 @@ class UdpRuntime final : public Executor, public Device {
   std::queue<std::function<void()>> tasks_;
 
   std::vector<PendingTx> tx_queue_;
+  /// Planner scratch of the inline backpressure flush (guarded by mu_).
+  TxScratch inline_scratch_;
 
   /// Joined multicast groups: folded group ip -> subscribe refcount
   /// (distinct keys may fold onto one address; over-delivery is filtered

@@ -172,5 +172,94 @@ TEST(GroupHandoff, ChainedTransfersRotateTheRole) {
   }
 }
 
+/// Member 2 hears nothing from 0 or 1 while the role moves 0 -> 1; then
+/// `coordinator` runs a ResetGroup. Member 2 delivers the hand-off it
+/// missed only from the rebuilt stream, after the reset's result has named
+/// the rebuilt group's sequencer. Every survivor must agree on that one
+/// sequencer, and every member's send must then complete.
+void reset_after_a_missed_handoff(std::size_t coordinator) {
+  SimGroupHarness h(3, GroupConfig{});
+  ASSERT_TRUE(h.form_group());
+  const auto station = [&](std::size_t p) {
+    return h.process(p).faults().station();
+  };
+  transport::NemesisEvent cut;
+  cut.kind = transport::NemesisEvent::Kind::partition;
+  cut.cuts = {{station(0), station(2)}, {station(1), station(2)}};
+  transport::NemesisEvent heal;
+  heal.at = Duration::millis(20);
+  heal.kind = transport::NemesisEvent::Kind::heal;
+  for (std::size_t i = 0; i < h.size(); ++i) {
+    h.process(i).faults().set_schedule({cut, heal});
+    h.process(i).faults().start_nemesis();
+  }
+  const Time start = h.engine().now();
+
+  std::optional<Status> transferred;
+  h.process(0).member().transfer_sequencer(1,
+                                           [&](Status s) { transferred = s; });
+  ASSERT_TRUE(h.run_until([&] { return transferred.has_value(); },
+                          Duration::millis(15)));
+  EXPECT_EQ(*transferred, Status::ok);
+  ASSERT_EQ(h.process(2).member().info().sequencer, 0u)
+      << "member 2 must have missed the hand-off";
+
+  // Reset just after the cut heals.
+  std::optional<Status> reset;
+  h.engine().schedule(heal.at - (h.engine().now() - start) + Duration::millis(1),
+                      [&] {
+                        h.process(coordinator).member().reset_group(
+                            2, [&](Status s, std::uint32_t) { reset = s; });
+                      });
+  ASSERT_TRUE(h.run_until(
+      [&] {
+        if (!reset.has_value()) return false;
+        for (std::size_t p = 0; p < 3; ++p) {
+          if (h.process(p).member().state() != GroupMember::State::running) {
+            return false;
+          }
+        }
+        return true;
+      },
+      Duration::seconds(10)));
+  EXPECT_EQ(*reset, Status::ok);
+  const MemberId seq = h.process(coordinator).member().info().sequencer;
+  EXPECT_EQ(seq, coordinator) << "a ResetGroup's coordinator sequences";
+  for (std::size_t p = 0; p < 3; ++p) {
+    EXPECT_EQ(h.process(p).member().info().sequencer, seq) << "member " << p;
+  }
+  EXPECT_TRUE(h.process(seq).member().i_am_sequencer());
+
+  int ok = 0;
+  for (std::size_t p = 0; p < 3; ++p) {
+    h.process(p).user_send(make_pattern_buffer(32), [&, p](Status s) {
+      EXPECT_EQ(s, Status::ok) << "send from member " << p;
+      if (s == Status::ok) ++ok;
+    });
+  }
+  // Every member delivers all three, member 2 past the hand-off it missed.
+  ASSERT_TRUE(h.run_until(
+      [&] {
+        if (ok < 3) return false;
+        for (std::size_t p = 0; p < 3; ++p) {
+          std::size_t apps = 0;
+          for (const auto& m : h.process(p).delivered()) {
+            if (m.kind == MessageKind::app) ++apps;
+          }
+          if (apps < 3) return false;
+        }
+        return true;
+      },
+      Duration::seconds(10)));
+}
+
+TEST(GroupHandoff, ResetByAMemberThatMissedTheHandoffNamesOneSequencer) {
+  reset_after_a_missed_handoff(/*coordinator=*/2);
+}
+
+TEST(GroupHandoff, ResetOverAVoterThatMissedTheHandoffNamesOneSequencer) {
+  reset_after_a_missed_handoff(/*coordinator=*/0);
+}
+
 }  // namespace
 }  // namespace amoeba::group

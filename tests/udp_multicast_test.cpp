@@ -6,10 +6,12 @@
 // tables use.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -88,23 +90,100 @@ TEST(UdpOptionsTest, MaxPayloadIsConfigurable) {
 // Wake path (eventfd + suppression) and the bounded tx queue.
 // ---------------------------------------------------------------------------
 
+/// A loopback runtime of one station, started, whose loop has run a
+/// posted task and parked in poll (nothing else is queued or armed).
+struct IdleLoop {
+  IdleLoop() : rt(std::uint16_t{0}) {
+    rt.set_station_table(0, {{"127.0.0.1", rt.local_port()}});
+    rt.start();
+    settle();
+  }
+  ~IdleLoop() { rt.stop(); }
+  /// Run a task on the loop and give it time to park again.
+  void settle() {
+    std::atomic<bool> ran{false};
+    {
+      std::lock_guard lock(rt.mutex());
+      rt.post(Duration::zero(), [&] { ran.store(true); });
+    }
+    EXPECT_TRUE(eventually([&] { return ran.load(); }));
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  UdpRuntime rt;
+};
+
 TEST(UdpWake, WakeupsAreCountedAndSuppressed) {
-  UdpRuntime rt(std::uint16_t{0});
-  rt.set_station_table(0, {{"127.0.0.1", rt.local_port()}});
-  rt.start();
+  IdleLoop idle;
+  UdpRuntime& rt = idle.rt;
+  const auto wakeups = rt.io_stats().wakeups.load();
+  const auto suppressed = rt.io_stats().wakes_suppressed.load();
+  std::atomic<int> ran{0};
   {
+    // 64 posts under one lock hold to a parked loop: the first writes the
+    // eventfd, and the loop cannot take mu_ (and park again) before the
+    // hold ends, so the other 63 cost nothing.
     std::lock_guard lock(rt.mutex());
     for (int i = 0; i < 64; ++i) {
-      rt.post(Duration::zero(), [] {});
+      rt.post(Duration::zero(), [&] { ran.fetch_add(1); });
     }
   }
+  ASSERT_TRUE(eventually([&] { return ran.load() == 64; }));
+  EXPECT_EQ(rt.io_stats().wakeups.load() - wakeups, 1u);
+  EXPECT_EQ(rt.io_stats().wakes_suppressed.load() - suppressed, 63u);
+}
+
+TEST(UdpWake, LoopThreadPostsAndTimersWriteNoWake) {
+  IdleLoop idle;
+  UdpRuntime& rt = idle.rt;
+  const auto wakeups = rt.io_stats().wakeups.load();
+  std::atomic<bool> posted_ran{false};
+  std::atomic<bool> timer_ran{false};
+  {
+    std::lock_guard lock(rt.mutex());
+    // The one wake: this post from a user thread to the parked loop.
+    rt.post(Duration::zero(), [&] {
+      // On the loop thread, which takes mu_ again before it next parks:
+      // neither the post nor the timer may write the eventfd.
+      rt.post(Duration::zero(), [&] { posted_ran.store(true); });
+      rt.set_timer(Duration::millis(5), [&] { timer_ran.store(true); });
+    });
+  }
+  ASSERT_TRUE(eventually([&] { return posted_ran.load() && timer_ran.load(); }));
+  EXPECT_EQ(rt.io_stats().wakeups.load() - wakeups, 1u);
+  EXPECT_EQ(rt.io_stats().wake_spurious.load(), 0u);
+}
+
+TEST(UdpWake, SeededPostsToAnIdleLoopAllRunPromptly) {
+  // A user thread posts at seeded random gaps, some back to back and some
+  // long enough for the loop to park between them. A lost wake-up leaves
+  // its task waiting out the loop's 1 s idle poll; half of that tells the
+  // two apart with room for sanitizer slowdowns.
+  constexpr int kPosts = 10'000;
+  constexpr auto kBound = std::chrono::milliseconds(500);
+  IdleLoop idle;
+  UdpRuntime& rt = idle.rt;
+  std::mt19937 rng(20261020);
+  std::uniform_int_distribution<int> gap_us(-50, 200);  // <= 0: no gap
+  int ran = 0;  // guarded by rt.mutex(), like the tasks that bump it
+  std::chrono::steady_clock::duration worst{};
+  for (int i = 0; i < kPosts; ++i) {
+    const int gap = gap_us(rng);
+    if (gap > 0) std::this_thread::sleep_for(std::chrono::microseconds(gap));
+    std::lock_guard lock(rt.mutex());
+    rt.post(Duration::zero(), [&, at = std::chrono::steady_clock::now()] {
+      worst = std::max(worst, std::chrono::steady_clock::now() - at);
+      ++ran;
+    });
+  }
   ASSERT_TRUE(eventually([&] {
-    return rt.io_stats().wakeups.load() >= 1;
+    std::lock_guard lock(rt.mutex());
+    return ran == kPosts;
   }));
-  // 64 posts under one lock hold: the loop can't drain between them, so
-  // the pending-flag suppressor must have eaten most of the writes.
-  EXPECT_GE(rt.io_stats().wakes_suppressed.load(), 1u);
-  rt.stop();
+  std::lock_guard lock(rt.mutex());
+  EXPECT_LT(worst, kBound)
+      << "slowest task waited "
+      << std::chrono::duration_cast<std::chrono::milliseconds>(worst).count()
+      << " ms";
 }
 
 TEST(UdpBackpressure, TxQueueHighWatermarkFlushesInline) {
